@@ -9,6 +9,7 @@ elimination parallelism.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,6 +17,26 @@ import time
 import mpmath
 
 from . import bounds, characters, permmatrix, twoway, verify
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits with status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -59,6 +80,7 @@ def _cmd_rank(args) -> int:
         "expected": expected,
         "method": cert.method,
         "primes": list(cert.primes),
+        "blocks": dataclasses.asdict(cert.blocks) if cert.blocks else None,
         "elapsed_ms": elapsed_ms,
     }
     if args.json:
@@ -71,6 +93,12 @@ def _cmd_rank(args) -> int:
         )
         if cert.primes:
             print(f"primes: {', '.join(map(str, cert.primes))}")
+        if cert.blocks:
+            b = cert.blocks
+            print(
+                f"blocks: {b.count} of order {b.order} per prime, from a cyclic subgroup "
+                f"of order {b.subgroup_order} (cycle type {_partition_label(b.cycle_type)})"
+            )
     return 0 if cert.rank == expected else 1
 
 
@@ -189,7 +217,7 @@ def _cmd_2dfa(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permrank",
         description=(
             "verify, by direct computation, the rank of cycle-indicator "
@@ -203,11 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank of the degree-k cycle product matrix")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("auto", "exact", "modp"), default="auto")
-    p.add_argument("--primes", type=int, default=3, help="primes for the modular method")
+    p.add_argument(
+        "--primes", type=_int_at_least(1), default=3, help="primes for the modular method"
+    )
     p.add_argument("--seed", type=int, default=None, help="seed for prime sampling")
     p.add_argument("--dump-pbm", metavar="PATH", default=None, help="also write the matrix as a PBM image")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--allow-heavy", action="store_true", help="permit degree 8 (hours, >10 GB)")
+    p.add_argument(
+        "--allow-heavy",
+        action="store_true",
+        help="permit degree 8 (about 3.5 min and 0.6 GB for 3 primes on 2 cores)",
+    )
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -234,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chartable)
 
     p = sub.add_parser("asym", help="ratio of the bound to its asymptotic form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--digits", type=_int_at_least(1), default=30)
     p.set_defaults(func=_cmd_asym)
 
     p = sub.add_parser("2dfa", help="two-way automaton tools")
@@ -247,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_2dfa)
     c = twoway_sub.add_parser("commrank", help="rank of a sampled communication matrix")
     c.add_argument("-a", "--automaton", required=True)
-    c.add_argument("--prefix-len", type=int, default=4)
-    c.add_argument("--suffix-len", type=int, default=4)
+    c.add_argument("--prefix-len", type=_int_at_least(0), default=4)
+    c.add_argument("--suffix-len", type=_int_at_least(0), default=4)
     c.add_argument("--dedup", action="store_true")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_2dfa)

@@ -162,3 +162,36 @@ def test_2dfa_missing_file(capsys):
     code, _, err = run_cli(capsys, "2dfa", "run", "-a", "no_such_file.json", "-w", "a")
     assert code == 2
     assert "cannot load" in err
+
+
+def test_rank_json_reports_blocks(capsys):
+    code, out, _ = run_cli(
+        capsys, "rank", "--k", "4", "--method", "modp", "--primes", "1", "--json"
+    )
+    assert code == 0
+    blocks = json.loads(out)["blocks"]
+    assert blocks == {"cycle_type": [4], "subgroup_order": 4, "count": 4, "order": 6}
+    code, out, _ = run_cli(capsys, "rank", "--k", "4", "--json")
+    assert json.loads(out)["blocks"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "--k", "3", "--method", "modp", "--primes", "0"),
+        ("rank", "--k", "3", "--method", "modp", "--primes", "-2"),
+        ("asym", "--n", "0"),
+        ("asym", "--n", "5", "--digits", "0"),
+        ("2dfa", "commrank", "-a", str(DATA / "last_a.json"), "--prefix-len", "-1"),
+        ("2dfa", "commrank", "-a", str(DATA / "last_a.json"), "--suffix-len", "-1"),
+        ("asym", "--n", "x"),
+    ],
+)
+def test_bad_numeric_flags_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1
+    assert "error:" in out.err and "Traceback" not in out.err

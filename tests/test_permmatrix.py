@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permrank import permmatrix, perms
+from permrank import permmatrix, perms, young
 
 FIXED_PRIME = 2147483629  # largest prime below 2**31
 
@@ -215,6 +215,117 @@ def test_certified_rank_modular_path_is_seeded():
 def test_certified_rank_degree_eight_gated():
     with pytest.raises(ValueError, match="allow_heavy"):
         permmatrix.certified_rank(8)
+
+
+@pytest.mark.parametrize("num_primes", [0, -2])
+def test_certified_rank_rejects_too_few_primes(num_primes):
+    with pytest.raises(ValueError, match="num_primes"):
+        permmatrix.certified_rank(3, method="modp", num_primes=num_primes)
+
+
+def test_certified_rank_records_block_structure():
+    cert = permmatrix.certified_rank(5, method="modp", num_primes=2, seed=7)
+    assert cert.rank == 70
+    assert cert.blocks == permmatrix.BlockStructure((3, 2), 6, 6, 20)
+    assert "sum of the ranks" in cert.note
+    assert all(p % 6 == 1 for p in cert.primes)
+    assert permmatrix.certified_rank(4).blocks is None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_max_order_cycle_type(n):
+    cycle_type = permmatrix._max_order_cycle_type(n)
+    assert sum(cycle_type) == n
+    if n <= 6:
+        orders = {lcm(*perms.cycle_type(g)) for g in perms.all_perms(n)}
+        assert lcm(*cycle_type) == max(orders)
+    else:
+        assert cycle_type == {7: (4, 3), 8: (5, 3)}[n]
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 6, 12, 15])
+def test_random_prime_congruent_to_one(modulus):
+    rng = random.Random(modulus)
+    for _ in range(5):
+        p = permmatrix.random_prime(rng, modulus)
+        assert (1 << 29) < p < (1 << 31)
+        assert permmatrix.is_prime(p)
+        assert (p - 1) % modulus == 0
+
+
+def _class_indicator_matrix(n, cycle_types):
+    group = perms.all_perms(n)
+    dense = [
+        [1 if perms.cycle_type(perms.compose(sigma, pi)) in cycle_types else 0 for sigma in group]
+        for pi in group
+    ]
+    return permmatrix.BinaryMatrix.from_dense(np.array(dense, dtype=np.uint8), n)
+
+
+def _power(a, d):
+    out = perms.identity(len(a))
+    for _ in range(d):
+        out = perms.compose(out, a)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cycle_matrix_blocks_are_circulant(n):
+    # checks the invariance the blocked rank rests on, with perms loops as
+    # the reference for the vectorised orbits and the gathered symbols
+    mat = permmatrix.cycle_product_matrix(n)
+    dense = mat.to_dense()
+    cycle_type = permmatrix._max_order_cycle_type(n)
+    m = lcm(*cycle_type)
+    firsts = [sum(cycle_type[:i]) + 1 for i in range(len(cycle_type))]
+    a = perms.from_cycles(n, *(tuple(range(f, f + c)) for f, c in zip(firsts, cycle_type)))
+    a_pow = [_power(a, d) for d in range(m)]
+    group = perms.all_perms(n)
+    row_reps = sorted(min(perms.perm_rank(perms.compose(g, x)) for x in a_pow) for g in group)
+    col_reps = sorted(min(perms.perm_rank(perms.compose(x, g)) for x in a_pow) for g in group)
+    row_reps, col_reps = sorted(set(row_reps)), sorted(set(col_reps))
+    assert len(row_reps) == len(col_reps) == factorial(n) // m
+    symbols = permmatrix._circulant_symbols(mat, cycle_type)
+    for i, r in enumerate(row_reps):
+        pi = perms.perm_unrank(n, r)
+        for j, s in enumerate(col_reps):
+            sigma = perms.perm_unrank(n, s)
+            block = np.array([
+                [dense[perms.perm_rank(perms.compose(pi, a_pow[u])),
+                       perms.perm_rank(perms.compose(a_pow[-v % m], sigma))] for v in range(m)]
+                for u in range(m)
+            ])
+            assert (block == np.roll(np.roll(block, 1, axis=0), 1, axis=1)).all()
+            assert (block[:, 0] == symbols[:, i, j]).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blocked_rank_equals_full_rank_at_same_prime(n):
+    mat = permmatrix.cycle_product_matrix(n)
+    cycle_type = permmatrix._max_order_cycle_type(n)
+    m = lcm(*cycle_type)
+    symbols = permmatrix._circulant_symbols(mat, cycle_type)
+    assert symbols.shape == (m, factorial(n) // m, factorial(n) // m)
+    rng = random.Random(n)
+    for _ in range(2):
+        p = permmatrix.random_prime(rng, m)
+        assert permmatrix._blocked_rank(symbols, p) == permmatrix.rank_mod_prime(mat, p)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_blocked_rank_on_every_class_indicator(n):
+    # other conjugacy classes give other ranks, so agreement is not a
+    # coincidence of the cycle class
+    cycle_type = permmatrix._max_order_cycle_type(n)
+    m = lcm(*cycle_type)
+    p = permmatrix.random_prime(random.Random(n), m)
+    ranks = set()
+    for lam in young.partitions(n):
+        mat = _class_indicator_matrix(n, {lam})
+        full = permmatrix.rank_mod_prime(mat, p)
+        assert permmatrix._blocked_rank(permmatrix._circulant_symbols(mat, cycle_type), p) == full
+        ranks.add(full)
+    assert len(ranks) > 2
 
 
 def test_packbits_round_trip():
