@@ -43,13 +43,13 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(",") if p.strip() != "")
     except ValueError:
-        raise SystemExit(f"error: cannot parse partition {text!r}; expected e.g. 2,1")
+        raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}; expected e.g. 2,1")
     from .young import check_partition
 
     try:
         return check_partition(parts)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _partition_label(parts) -> str:
@@ -140,10 +140,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    lam = _parse_partition(args.shape)
-    alpha = _parse_partition(args.alpha)
     try:
-        print(characters.character(lam, alpha))
+        print(characters.character(args.shape, args.alpha))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -246,20 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=(*verify.SUITES, "all"))
-    p.add_argument("--n", type=int, default=None, help="override the suite's degree limit")
+    p.add_argument(
+        "--n", type=_int_at_least(1), default=None, help="override the suite's degree limit"
+    )
     p.add_argument("--quick", action="store_true", help="cap degrees at 6 and shrink samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bound", help="print the bound table")
-    p.add_argument("--max", type=int, default=10)
+    p.add_argument("--max", type=_int_at_least(1), default=10)
     p.add_argument("--format", choices=("plain", "csv", "json", "markdown"), default="plain")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("char", help="one character value")
-    p.add_argument("--lambda", dest="shape", required=True, help="shape, e.g. 2,1")
-    p.add_argument("--alpha", required=True, help="cycle type, e.g. 3")
+    p.add_argument(
+        "--lambda", dest="shape", type=_parse_partition, required=True, help="shape, e.g. 2,1"
+    )
+    p.add_argument("--alpha", type=_parse_partition, required=True, help="cycle type, e.g. 3")
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("chartable", help="full character table")

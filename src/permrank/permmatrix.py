@@ -26,6 +26,16 @@ at once; it is an invertible change of basis over the field with p
 elements, so it splits the matrix into m blocks of order n!/m whose ranks
 mod p add up to exactly the rank of the full matrix mod p.  The argument
 uses only that invariance, none of the character theory the ranks confirm.
+
+The exact certificate splits the same circulant structure over the
+rationals instead.  The m x m cyclic shift is similar over Q to the direct
+sum of the companion matrices of the cyclotomic polynomials Phi_d, d | m,
+so the matrix is equivalent to one integer block of order (n!/m) * phi(d)
+per divisor d, and its rational rank is the sum of their Bareiss ranks.  At
+degree 6 (m = 6) that is blocks of order 120, 120, 240 and 240 instead of one
+of order 720: about 1.6 s instead of 11 s for degrees 1..6 with Python
+integers on a 2-core x86-64 host.  rank_exact itself stays unblocked, so it
+remains an independent check of these ranks.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import factorial, lcm
 
@@ -115,8 +126,9 @@ def _perm_array(n: int) -> np.ndarray:
 def _rank_lookup(n: int, perm_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Base-n encoding powers and an encoding -> canonical rank table."""
     powers = (n ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    lut = np.full(n**n, -1, dtype=np.int64)
-    lut[perm_arr @ powers] = np.arange(perm_arr.shape[0], dtype=np.int64)
+    # ranks stay below 8! < 2**31; int32 halves the n**n table (67 MB at n=8)
+    lut = np.full(n**n, -1, dtype=np.int32)
+    lut[perm_arr @ powers] = np.arange(perm_arr.shape[0], dtype=np.int32)
     return powers, lut
 
 
@@ -126,7 +138,7 @@ def _build_cycle_matrix(n: int, invert_rows: bool) -> BinaryMatrix:
     order = factorial(n)
     perm_arr = _perm_array(n)
     powers, lut = _rank_lookup(n, perm_arr)
-    cyc_arr = np.array(perms.cyclic_perms(n), dtype=np.int64).reshape(-1, n)
+    cyc_arr = np.array(perms.cyclic_perms(n), dtype=np.int8).reshape(-1, n)
     # Row pi has ones exactly on {c . pi^-1 : c n-cycle} (product form) or
     # {c . pi : c n-cycle} (quotient form); composing c with a fixed map is
     # a column gather of the cycle array.
@@ -134,10 +146,16 @@ def _build_cycle_matrix(n: int, invert_rows: bool) -> BinaryMatrix:
     packed = np.empty((order, (order + 7) // 8), dtype=np.uint8)
     block = max(1, min(order, (1 << 24) // order))
     for r0 in range(0, order, block):
-        rows = right_factor[r0:r0 + block]
-        cols = lut[cyc_arr[:, rows] @ powers]  # (n-cycles, block)
-        bits = np.zeros((rows.shape[0], order), dtype=bool)
-        bits[np.arange(rows.shape[0])[:, None], cols.T] = True
+        rows = right_factor[r0:r0 + block].T
+        # base-n code of c . row, one position at a time, so no
+        # (n-cycles, block, n) temporary is gathered; the int64 powers
+        # promote each int8 gather before it is scaled
+        code = powers[0] * np.take(cyc_arr, rows[0], axis=1)
+        for i in range(1, n):
+            code += powers[i] * np.take(cyc_arr, rows[i], axis=1)
+        cols = lut[code]  # (n-cycles, block)
+        bits = np.zeros((rows.shape[1], order), dtype=bool)
+        bits[np.arange(rows.shape[1])[:, None], cols.T] = True
         packed[r0:r0 + block] = np.packbits(bits, axis=1)
     return BinaryMatrix(order, packed, n)
 
@@ -391,6 +409,58 @@ def _blocked_rank(symbols: np.ndarray, p: int) -> int:
     return total
 
 
+# --- symmetry-blocked rank over the rationals ---
+
+@cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Integer coefficients of the d-th cyclotomic polynomial, constant term first.
+
+    x^d - 1 is divided exactly by Phi_e for every proper divisor e of d; each
+    divisor is monic, so the long division never leaves the integers.
+    """
+    coeffs = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e:
+            continue
+        divisor = _cyclotomic(e)
+        k = len(divisor) - 1
+        quotient = [0] * (len(coeffs) - k)
+        for i in reversed(range(len(quotient))):
+            quotient[i] = c = coeffs[i + k]
+            for j, dj in enumerate(divisor):
+                coeffs[i + j] -= c * dj
+        assert not any(coeffs), f"Phi_{e} does not divide the remaining factor of x^{d} - 1"
+        coeffs = quotient
+    return tuple(coeffs)
+
+
+def _cyclotomic_blocks(symbols: np.ndarray) -> list[np.ndarray]:
+    """Integer blocks whose ranks over Q add up to that of the matrix with these symbols.
+
+    Up to a permutation of rows and columns the matrix is
+    ``sum_j kron(G[j], P^j)`` for the m x m cyclic shift P, the companion
+    matrix of x^m - 1.  Its factors Phi_d (d | m) are coprime, so over Q the
+    shift is similar to the direct sum of the companion matrices C_d of the
+    Phi_d, and the matrix is equivalent to the direct sum of the blocks
+    ``sum_j kron(G[j], C_d^j)``, of order (n!/m) * phi(d), one per divisor d.
+    """
+    m, b = symbols.shape[:2]
+    g = symbols.astype(np.int64)
+    blocks = []
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        phi = _cyclotomic(d)
+        k = len(phi) - 1
+        companion = np.eye(k, k, -1, dtype=np.int64)
+        companion[:, -1] = [-c for c in phi[:-1]]
+        powers = [np.eye(k, dtype=np.int64)]
+        for _ in range(1, m):
+            powers.append(powers[-1] @ companion)
+        blocks.append(np.einsum("jab,jcd->acbd", g, np.array(powers)).reshape(b * k, b * k))
+    return blocks
+
+
 # --- fraction-free elimination over Z ---
 
 def rank_exact(m) -> int:
@@ -505,6 +575,14 @@ def certified_rank(
     invertible mod p, so the sum of the block ranks is exactly the rank of
     the full matrix mod p, and each prime costs m eliminations of order
     n!/m instead of one of order n! (at degree 7: 12 blocks of order 420).
+
+    The exact path uses the same element and symbols over the rationals.
+    There the cyclic shift of order m is similar to the direct sum of the
+    companion matrices C_d of the cyclotomic polynomials Phi_d (d | m), so
+    the rational rank is the sum of the Bareiss ranks of the integer blocks
+    ``sum_j kron(G[j], C_d^j)``, of order (n!/m) * phi(d).  At degree 6 these
+    are blocks of order 120, 120, 240 and 240; degrees 1..6 take about 1.6 s
+    instead of 11 s.  The note records the cycle type and the block orders.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -521,18 +599,27 @@ def certified_rank(
             "expect 15 blocks of order 2688 per prime, 93 s for one prime and 205 s "
             "for the default three, with 0.6 GB peak memory"
         )
-    matrix = cycle_product_matrix(n)
-    if method == "exact":
-        rank = rank_exact(matrix)
-        return RankCertificate(
-            rank=rank,
-            method="exact-fraction-free",
-            primes=(),
-            note="rank over the rationals by fraction-free elimination",
-            degree=n,
+    if method == "exact" and factorial(n) > MAX_EXACT_ORDER:
+        raise ValueError(
+            f"order {factorial(n)} exceeds exact-elimination cap {MAX_EXACT_ORDER}; "
+            "use the modular certification path"
         )
     cycle_type = _max_order_cycle_type(n)
-    symbols = _circulant_symbols(matrix, cycle_type)
+    symbols = _circulant_symbols(cycle_product_matrix(n), cycle_type)
+    if method == "exact":
+        blocks = _cyclotomic_blocks(symbols)
+        return RankCertificate(
+            rank=sum(rank_exact(block) for block in blocks),
+            method="exact-fraction-free",
+            primes=(),
+            note=(
+                "rank over the rationals by fraction-free elimination of "
+                f"{len(blocks)} cyclotomic blocks of orders "
+                f"{', '.join(str(len(block)) for block in blocks)} "
+                f"(cycle type {'+'.join(map(str, cycle_type))})"
+            ),
+            degree=n,
+        )
     m, block_order = symbols.shape[:2]
     rng = random.Random(seed)
     sampled: dict[int, int] = {}
@@ -562,11 +649,12 @@ def write_pbm(m: BinaryMatrix, path) -> None:
     """Write the matrix as a binary PBM image, 1 = filled (black).
 
     The packed row layout (MSB-first, byte-padded rows) is exactly the P4
-    raster format, so rows are written as stored.
+    raster format, so rows are written as stored, from the array's own
+    buffer rather than a bytes copy (203 MB at degree 8).
     """
     with open(path, "wb") as fh:
         fh.write(f"P4\n{m.order} {m.order}\n".encode())
-        fh.write(m.packed.tobytes())
+        fh.write(np.ascontiguousarray(m.packed).data)
 
 
 def read_pbm(path) -> BinaryMatrix:

@@ -185,6 +185,12 @@ def test_rank_json_reports_blocks(capsys):
         ("2dfa", "commrank", "-a", str(DATA / "last_a.json"), "--prefix-len", "-1"),
         ("2dfa", "commrank", "-a", str(DATA / "last_a.json"), "--suffix-len", "-1"),
         ("asym", "--n", "x"),
+        ("char", "--lambda", "x", "--alpha", "3"),
+        ("char", "--lambda", "2,1", "--alpha", "1,2"),
+        ("verify", "--suite", "dims", "--n", "0"),
+        ("verify", "--suite", "dims", "--n", "-1"),
+        ("bound", "--max", "0"),
+        ("bound", "--max", "-3"),
     ],
 )
 def test_bad_numeric_flags_exit_2_with_one_line(capsys, argv):

@@ -328,6 +328,58 @@ def test_blocked_rank_on_every_class_indicator(n):
     assert len(ranks) > 2
 
 
+@pytest.mark.parametrize("m", range(1, 16))
+def test_cyclotomic_factors_multiply_to_x_m_minus_1(m):
+    product = [1]
+    for d in range(1, m + 1):
+        if m % d == 0:
+            phi = permmatrix._cyclotomic(d)
+            assert phi[-1] == 1 and all(isinstance(c, int) for c in phi)
+            product = [
+                sum(product[i] * phi[k - i] for i in range(len(product)) if 0 <= k - i < len(phi))
+                for k in range(len(product) + len(phi) - 1)
+            ]
+    assert product == [-1] + [0] * (m - 1) + [1]
+
+
+def _cyclotomic_rank(mat):
+    symbols = permmatrix._circulant_symbols(mat, permmatrix._max_order_cycle_type(mat.degree))
+    blocks = permmatrix._cyclotomic_blocks(symbols)
+    assert sum(len(b) for b in blocks) == mat.order
+    return sum(permmatrix.rank_exact(b) for b in blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cyclotomic_blocked_rank_equals_full_exact_rank(n):
+    mat = permmatrix.cycle_product_matrix(n)
+    assert _cyclotomic_rank(mat) == permmatrix.rank_exact(mat)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_cyclotomic_blocked_rank_on_every_class_indicator(n):
+    ranks = set()
+    for lam in young.partitions(n):
+        mat = _class_indicator_matrix(n, {lam})
+        full = permmatrix.rank_exact(mat)
+        assert _cyclotomic_rank(mat) == full
+        ranks.add(full)
+    assert len(ranks) > 2
+
+
+def test_certified_rank_exact_note_names_block_orders():
+    cert = permmatrix.certified_rank(6)
+    assert cert.rank == 252
+    assert cert.method == "exact-fraction-free"
+    assert cert.blocks is None
+    assert "orders 120, 120, 240, 240" in cert.note
+    assert "cycle type 6" in cert.note
+
+
+def test_certified_rank_exact_refused_above_cap():
+    with pytest.raises(ValueError, match="exact-elimination cap"):
+        permmatrix.certified_rank(7, method="exact")
+
+
 def test_packbits_round_trip():
     rng = np.random.default_rng(2)
     dense = rng.integers(0, 2, size=(10, 10)).astype(np.uint8)
