@@ -15,6 +15,12 @@ integers gives the rank over the rationals exactly; elimination modulo a
 prime divides a critical minor.  Storage is bit-packed (one bit per entry);
 rows are expanded to machine-word residues only inside elimination.
 
+The build copies bytes.  Entry (pi, sigma) is 1 when pi . sigma, a conjugate
+of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations form the
+subgroup H fixing the first two points and each run of s columns is a coset
+c . H, so M[pi, c . h] = M[pi . c, h]: coset c of row pi is row pi . c of the
+slab M[:, :s], made from the multiplication table of H.
+
 The modular certificate never eliminates the full matrix.  Its entry
 depends only on the conjugacy class of sigma . pi, so it is unchanged when
 pi is replaced by pi . a and sigma by a^-1 . sigma, for a fixed permutation
@@ -120,16 +126,17 @@ class BinaryMatrix:
 
 
 def _perm_array(n: int) -> np.ndarray:
-    return np.array(perms.all_perms(n), dtype=np.int64).reshape(factorial(n), n)
+    return np.array(perms.all_perms(n), dtype=np.int8).reshape(factorial(n), n)
 
 
-def _rank_lookup(n: int, perm_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Base-n encoding powers and an encoding -> canonical rank table."""
-    powers = (n ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    # ranks stay below 8! < 2**31; int32 halves the n**n table (67 MB at n=8)
-    lut = np.full(n**n, -1, dtype=np.int32)
-    lut[perm_arr @ powers] = np.arange(perm_arr.shape[0], dtype=np.int32)
-    return powers, lut
+def _ranks(perm_arr: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of the permutations along the last axis (Lehmer code)."""
+    n = perm_arr.shape[-1]
+    ranks = np.zeros(perm_arr.shape[:-1], dtype=np.int64)
+    for i in range(n - 1):  # Horner form of sum_i c_i * (n-1-i)!
+        ranks *= n - i
+        ranks += (perm_arr[..., i + 1:] < perm_arr[..., i, None]).sum(axis=-1, dtype=np.int8)
+    return ranks
 
 
 def _build_cycle_matrix(n: int, invert_rows: bool) -> BinaryMatrix:
@@ -137,27 +144,22 @@ def _build_cycle_matrix(n: int, invert_rows: bool) -> BinaryMatrix:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
     order = factorial(n)
     perm_arr = _perm_array(n)
-    powers, lut = _rank_lookup(n, perm_arr)
-    cyc_arr = np.array(perms.cyclic_perms(n), dtype=np.int8).reshape(-1, n)
-    # Row pi has ones exactly on {c . pi^-1 : c n-cycle} (product form) or
-    # {c . pi : c n-cycle} (quotient form); composing c with a fixed map is
-    # a column gather of the cycle array.
-    right_factor = np.argsort(perm_arr, axis=1) if not invert_rows else perm_arr
-    packed = np.empty((order, (order + 7) // 8), dtype=np.uint8)
-    block = max(1, min(order, (1 << 24) // order))
-    for r0 in range(0, order, block):
-        rows = right_factor[r0:r0 + block].T
-        # base-n code of c . row, one position at a time, so no
-        # (n-cycles, block, n) temporary is gathered; the int64 powers
-        # promote each int8 gather before it is scaled
-        code = powers[0] * np.take(cyc_arr, rows[0], axis=1)
-        for i in range(1, n):
-            code += powers[i] * np.take(cyc_arr, rows[i], axis=1)
-        cols = lut[code]  # (n-cycles, block)
-        bits = np.zeros((rows.shape[1], order), dtype=bool)
-        bits[np.arange(rows.shape[1])[:, None], cols.T] = True
-        packed[r0:r0 + block] = np.packbits(bits, axis=1)
-    return BinaryMatrix(order, packed, n)
+    is_cycle = np.zeros(order, dtype=bool)
+    is_cycle[_ranks(np.array(perms.cyclic_perms(n), dtype=np.int8))] = True
+    # runs of s = t! columns are cosets c . H of H = S_t on the last t points, and
+    # M[pi, c . h] = M[pi . c, h]; t = n - 2 makes s whole bytes from n = 6 on
+    t = n - 2 if n >= 6 else n
+    s = factorial(t)
+    sub = _perm_array(t)
+    mult = _ranks(sub[:, sub])  # rank of h_i . h_r in S_t
+    # slab row c . h_i holds is_cycle[rank(c . h_i . h_r)] at column r
+    slab = np.packbits(np.take(is_cycle.reshape(-1, s), mult, axis=1).reshape(order, s), axis=1)
+    # the quotient form is the product form with row pi taken from pi^-1
+    rows = perm_arr if not invert_rows else np.argsort(perm_arr, axis=1).astype(np.int8)
+    packed = np.empty((order, order // s, slab.shape[1]), dtype=np.uint8)
+    for b, c in enumerate(perm_arr[::s]):
+        packed[:, b] = slab[_ranks(rows[:, c])]
+    return BinaryMatrix(order, packed.reshape(order, -1), n)
 
 
 def cycle_product_matrix(n: int) -> BinaryMatrix:
@@ -369,18 +371,17 @@ def _circulant_symbols(matrix: BinaryMatrix, cycle_type) -> np.ndarray:
     """
     n = matrix.degree
     perm_arr = _perm_array(n)
-    powers, lut = _rank_lookup(n, perm_arr)
     # 1-based cycles on consecutive points, e.g. (1 2 3 4)(5 6 7) for 4+3
     cycles = [tuple(range(e - c + 1, e + 1)) for e, c in zip(accumulate(cycle_type), cycle_type)]
     a = np.array(perms.from_cycles(n, *cycles))
     m = lcm(*cycle_type)
-    a_pow = np.empty((m, n), dtype=np.int64)
+    a_pow = np.empty((m, n), dtype=np.int8)
     a_pow[0] = np.arange(n)
     for d in range(1, m):
         a_pow[d] = a_pow[d - 1][a]
     # right[d, pi] is the rank of pi . a^d, left[v, sigma] that of a^v . sigma
-    right = lut[perm_arr[:, a_pow] @ powers].T
-    left = lut[a_pow[:, perm_arr] @ powers]
+    right = _ranks(perm_arr[:, a_pow]).T
+    left = _ranks(a_pow[:, perm_arr])
     everyone = np.arange(perm_arr.shape[0])
     rows = right[:, right.min(axis=0) == everyone]
     cols = np.flatnonzero(left.min(axis=0) == everyone)
@@ -580,9 +581,8 @@ def certified_rank(
     There the cyclic shift of order m is similar to the direct sum of the
     companion matrices C_d of the cyclotomic polynomials Phi_d (d | m), so
     the rational rank is the sum of the Bareiss ranks of the integer blocks
-    ``sum_j kron(G[j], C_d^j)``, of order (n!/m) * phi(d).  At degree 6 these
-    are blocks of order 120, 120, 240 and 240; degrees 1..6 take about 1.6 s
-    instead of 11 s.  The note records the cycle type and the block orders.
+    ``sum_j kron(G[j], C_d^j)``, of order (n!/m) * phi(d): 120, 120, 240 and
+    240 at degree 6.  The note records the cycle type and the block orders.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -596,8 +596,8 @@ def certified_rank(
         raise ValueError(
             f"rank at degree {n} (order {factorial(n)}) needs allow_heavy=True; "
             # measured with the numpy kernel on a 2-core x86-64 host
-            "expect 15 blocks of order 2688 per prime, 93 s for one prime and 205 s "
-            "for the default three, with 0.6 GB peak memory"
+            "expect 15 blocks of order 2688 per prime, 75 s for one prime and 208 s "
+            "for the default three, with 0.46 GB peak memory"
         )
     if method == "exact" and factorial(n) > MAX_EXACT_ORDER:
         raise ValueError(

@@ -50,6 +50,20 @@ def test_rank_dump_pbm(capsys, tmp_path):
     assert mat.to_dense().tolist() == [[0, 1], [1, 0]]
 
 
+@pytest.mark.parametrize(
+    "k,target",
+    [("0", "x.pbm"), ("9", "x.pbm"), ("5", "no/such/dir/x.pbm")],
+)
+def test_rank_dump_pbm_bad_input_exits_2_with_one_line(capsys, tmp_path, k, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "rank", "--k", k, "--dump-pbm", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "error:" in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_rank_heavy_degree_is_refused(capsys):
     code, _, err = run_cli(capsys, "rank", "--k", "8")
     assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -93,6 +94,71 @@ def test_matrices_are_symmetric(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_operator_matrix_equals_quotient_matrix(n):
     assert permmatrix.left_multiplication_matrix(n) == permmatrix.cycle_quotient_matrix(n)
+
+
+# SHA-256 of ``packed.tobytes()``, recorded from the per-entry build that
+# placed every one-bit separately, before the slab-and-coset build
+PACKED_SHA256 = {
+    (6, "product"): "938e4c776b26a3981cafa1580034cb825a734ef8dff4f568310c9f51fa55c985",
+    (6, "quotient"): "aeccb4745391942d0a3b7cce56e443d35105c95793646aee5f19af98d1324970",
+    (7, "product"): "f0f99f4aa16c87aafb92cf859515b5419a2b89ff2a3a0894eac400af19618363",
+    (7, "quotient"): "dcbd0446f1191e37d44c8eff61a1721ced99006a42e2950ccb01292c8fa5519b",
+    (8, "product"): "d2e752f8f9961ce73cecc8d06817b8f60da6079037e4ea1373986cad01164380",
+    (8, "quotient"): "d91383c1dd004f1458d3832157d199c99bf5d239bc584838bfde5682e88dac16",
+}
+
+
+@pytest.mark.parametrize("n,form", sorted(PACKED_SHA256))
+def test_build_output_is_pinned(n, form):
+    mat = getattr(permmatrix, f"cycle_{form}_matrix")(n)
+    assert mat.packed.shape == (factorial(n), factorial(n) // 8)
+    assert hashlib.sha256(mat.packed.tobytes()).hexdigest() == PACKED_SHA256[n, form]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_row_and_column_sums_of_the_coset_build(n):
+    mat = permmatrix.cycle_product_matrix(n)
+    assert mat.row_sums().tolist() == [factorial(n - 1)] * factorial(n)
+    assert mat.to_dense().sum(axis=0).tolist() == [factorial(n - 1)] * factorial(n)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_seeded_entries_match_definition(n):
+    mat = permmatrix.cycle_product_matrix(n)
+    rng = random.Random(n)
+    cycles = perms.cyclic_perms(n)
+    ones = 0
+    for t in range(200):
+        pi = perms.perm_unrank(n, rng.randrange(factorial(n)))
+        if t % 2:  # sigma . pi is an n-cycle by construction
+            sigma = perms.compose(rng.choice(cycles), perms.inverse(pi))
+        else:
+            sigma = perms.perm_unrank(n, rng.randrange(factorial(n)))
+        expected = 1 if perms.is_cyclic(perms.compose(sigma, pi)) else 0
+        assert mat.entry(perms.perm_rank(pi), perms.perm_rank(sigma)) == expected
+        ones += expected
+    assert ones >= 100
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ranks_match_perm_rank(n):
+    group = perms.all_perms(n)
+    random.Random(n).shuffle(group)
+    ranks = permmatrix._ranks(np.array(group, dtype=np.int8))
+    assert ranks.tolist() == [perms.perm_rank(p) for p in group]
+
+
+def test_ranks_on_stacked_input():
+    # the (group, powers, n) shape _circulant_symbols ranks: pi . a^d
+    n = 5
+    a = perms.from_cycles(n, (1, 2, 3), (4, 5))
+    a_pow = np.array([_power(a, d) for d in range(6)], dtype=np.int8)
+    perm_arr = np.array(perms.all_perms(n), dtype=np.int8)
+    ranks = permmatrix._ranks(perm_arr[:, a_pow])
+    assert ranks.shape == (factorial(n), 6)
+    for i, pi in enumerate(perms.all_perms(n)):
+        for d in range(6):
+            assert ranks[i, d] == perms.perm_rank(perms.compose(pi, _power(a, d)))
 
 
 def test_rank_mod_prime_validates_prime():
