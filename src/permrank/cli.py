@@ -190,26 +190,35 @@ def _cmd_2dfa(args) -> int:
             return 2
         print(outcome.value)
         return 0
-    # commrank
+    # commrank: the rank is taken over the distinct rows and columns
     prefixes = twoway.all_strings(automaton.alphabet, args.prefix_len)
     suffixes = twoway.all_strings(automaton.alphabet, args.suffix_len)
-    matrix = twoway.comm_matrix(automaton, prefixes, suffixes, dedup=args.dedup)
-    rank = permmatrix.rank_exact(matrix.entries)
+    try:
+        distinct = twoway.comm_matrix(automaton, prefixes, suffixes, dedup=True)
+        rank = permmatrix.rank_exact(distinct.entries)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    dedup_rows, dedup_cols = len(distinct.prefixes), len(distinct.suffixes)
+    rows, cols = (dedup_rows, dedup_cols) if args.dedup else (len(prefixes), len(suffixes))
     if args.json:
         print(
             json.dumps(
                 {
                     "prefix_len": args.prefix_len,
                     "suffix_len": args.suffix_len,
-                    "rows": len(matrix.prefixes),
-                    "cols": len(matrix.suffixes),
+                    "rows": rows,
+                    "cols": cols,
                     "rank": rank,
+                    "dedup_rows": dedup_rows,
+                    "dedup_cols": dedup_cols,
                 }
             )
         )
     else:
         print(
-            f"communication matrix {len(matrix.prefixes)}x{len(matrix.suffixes)}, rank {rank}"
+            f"communication matrix {rows}x{cols} "
+            f"(distinct {dedup_rows}x{dedup_cols}), rank {rank}"
         )
     return 0
 

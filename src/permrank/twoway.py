@@ -17,6 +17,17 @@ outcome is either "exits to the right in state s", or "halted accepting
 inside", or "halted rejecting / looped inside".  Distinguishing the two
 internal-halt outcomes matters: a machine that halts accepting inside u
 accepts u·v for every v.
+
+A suffix v has the mirror table: for each state q entering the first cell of
+"v>" from the left, "exits to the left in state s", or one of the two
+internal-halt outcomes.  The table of the bare ">" says what each state does
+on the right endmarker, and "cv>" is built from "v>" one cell at a time, as
+a prefix table is extended.  Whether u·v is accepted is then the composition
+of the two tables: follow the bounces across the u|v boundary from the
+prefix's left-entry outcome until one side halts, or a state repeats at the
+boundary (a loop).  A communication matrix therefore needs one table per
+distinct prefix and suffix, and one composition per pair of distinct
+tables, instead of one simulation per entry.
 """
 
 from __future__ import annotations
@@ -186,6 +197,36 @@ def prefix_behavior(a: TwoWayDFA, u: str) -> Behavior:
     return Behavior(entry, reentry)
 
 
+def _cross_cell(a: TwoWayDFA, symbol: str, q: int, exit_move: str, inner) -> int:
+    """Outcome for state index q arriving at a cell holding ``symbol``.
+
+    Moving ``exit_move`` leaves the region (the outcome is the new state);
+    moving the other way dives into the neighbouring region, whose crossing
+    table ``inner`` gives the state it comes back in, or its halt outcome.
+    The same state at this cell twice is a loop.
+    """
+    seen = set()
+    while q not in seen:
+        seen.add(q)
+        move = a.delta.get((a.states[q], symbol))
+        if move is None:
+            return HALT_ACCEPT if a.states[q] in a.accepting else HALT_REJECT
+        target, direction = move
+        t = a.state_index(target)
+        if direction == exit_move:
+            return t
+        back = inner[t]
+        if back < 0:
+            return back
+        q = back
+    return HALT_REJECT  # same state at this cell twice: loop
+
+
+def _check_symbol(a: TwoWayDFA, symbol: str) -> None:
+    if symbol not in a.alphabet:
+        raise ValueError(f"symbol {symbol!r} not in the automaton's alphabet")
+
+
 def extend_behavior(a: TwoWayDFA, b: Behavior, symbol: str) -> Behavior:
     """Crossing table of u·symbol, given the table of u.
 
@@ -193,52 +234,46 @@ def extend_behavior(a: TwoWayDFA, b: Behavior, symbol: str) -> Behavior:
     new cell is simulated directly and dives back into the old prefix are
     resolved through ``b.reentry``.
     """
-    if symbol not in a.alphabet:
-        raise ValueError(f"symbol {symbol!r} not in the automaton's alphabet")
-
-    def outcome_at_new_cell(state_idx: int) -> int:
-        seen = set()
-        q = state_idx
-        while q not in seen:
-            seen.add(q)
-            move = a.delta.get((a.states[q], symbol))
-            if move is None:
-                return HALT_ACCEPT if a.states[q] in a.accepting else HALT_REJECT
-            target, direction = move
-            t = a.state_index(target)
-            if direction == "R":
-                return t
-            back = b.reentry[t]
-            if back < 0:
-                return back
-            q = back
-        return HALT_REJECT  # same state at the new cell twice: loop
-
-    entry = b.entry if b.entry < 0 else outcome_at_new_cell(b.entry)
-    reentry = tuple(outcome_at_new_cell(q) for q in range(len(a.states)))
+    _check_symbol(a, symbol)
+    entry = b.entry if b.entry < 0 else _cross_cell(a, symbol, b.entry, "R", b.reentry)
+    reentry = tuple(_cross_cell(a, symbol, q, "R", b.reentry) for q in range(len(a.states)))
     return Behavior(entry, reentry)
 
 
-def behavior_accepts(a: TwoWayDFA, b: Behavior) -> bool:
-    """Whether the machine accepts a whole string whose prefix table is b.
+def _end_table(a: TwoWayDFA) -> tuple[int, ...]:
+    """Suffix table of the bare right endmarker ">" (every move there is left)."""
+    return tuple(_cross_cell(a, RIGHT_MARK, q, "L", ()) for q in range(len(a.states)))
 
-    Simulates the bounces between the right endmarker and the prefix.
-    """
+
+def _prepend(a: TwoWayDFA, table: tuple[int, ...], symbol: str) -> tuple[int, ...]:
+    """Suffix table of symbol·v>, given the table of v>."""
+    _check_symbol(a, symbol)
+    return tuple(_cross_cell(a, symbol, q, "L", table) for q in range(len(a.states)))
+
+
+def _compose(b: Behavior, table: tuple[int, ...]) -> bool:
+    """Whether u·v is accepted, for u with prefix table b and v with suffix table ``table``."""
     if b.entry < 0:
         return b.entry == HALT_ACCEPT
     seen = set()
     s = b.entry
     while s not in seen:
         seen.add(s)
-        move = a.delta.get((a.states[s], RIGHT_MARK))
-        if move is None:
-            return a.states[s] in a.accepting
-        target, _ = move  # validated to move left
-        back = b.reentry[a.state_index(target)]
-        if back < 0:
-            return back == HALT_ACCEPT
-        s = back
-    return False  # bouncing loop at the right endmarker
+        left = table[s]
+        if left < 0:
+            return left == HALT_ACCEPT
+        s = b.reentry[left]
+        if s < 0:
+            return s == HALT_ACCEPT
+    return False  # the same state crossed into v twice: loop
+
+
+def behavior_accepts(a: TwoWayDFA, b: Behavior) -> bool:
+    """Whether the machine accepts a whole string whose prefix table is b.
+
+    The composition of b with the table of the empty suffix.
+    """
+    return _compose(b, _end_table(a))
 
 
 @dataclass(frozen=True)
@@ -331,39 +366,84 @@ def comm_matrix(
 ) -> CommMatrix:
     """Communication matrix over the given sample rows and columns.
 
+    Each prefix is read into its normalized crossing table and each suffix,
+    right to left, into its suffix table; every entry is the composition of
+    the two (see the module docstring).  Strings with equal tables have
+    equal rows (or columns), so the compositions are made once per pair of
+    distinct tables and scattered into the matrix.  The labels may be in any
+    order, repeat, and need not be prefix-closed; a symbol outside the
+    alphabet raises ValueError.
+
     With dedup=True, duplicate rows and then duplicate columns are removed,
     keeping the first label of each kind; the rank is unaffected.
     """
     prefixes = tuple(prefixes)
     suffixes = tuple(suffixes)
-    entries = np.array(
-        [[1 if accepts(a, u + v) else 0 for v in suffixes] for u in prefixes],
-        dtype=np.uint8,
-    ).reshape(len(prefixes), len(suffixes))
+    n = len(a.states)
+    row_tables, row_ids = _table_ids(
+        prefixes, _normalize(prefix_behavior(a, ""), n),
+        lambda b, c: _normalize(extend_behavior(a, b, c), n),
+    )
+    col_tables, col_ids = _table_ids(
+        (v[::-1] for v in suffixes), _end_table(a), lambda t, c: _prepend(a, t, c)
+    )
+    composed = np.array(
+        [[_compose(b, t) for t in col_tables] for b in row_tables], dtype=np.uint8
+    ).reshape(len(row_tables), len(col_tables))
+    entries = composed[row_ids[:, None], col_ids]
     if dedup:
-        keep_rows = _first_occurrences(entries)
+        keep_rows = _first_occurrences(entries, row_ids)
         prefixes = tuple(prefixes[i] for i in keep_rows)
         entries = entries[keep_rows]
-        keep_cols = _first_occurrences(entries.T)
+        keep_cols = _first_occurrences(entries.T, col_ids)
         suffixes = tuple(suffixes[j] for j in keep_cols)
         entries = entries[:, keep_cols]
     return CommMatrix(prefixes, suffixes, entries)
 
 
-def _first_occurrences(rows: np.ndarray) -> list[int]:
+def _table_ids(words, start, step):
+    """The distinct tables of ``words`` and, per word, the index of its table.
+
+    Each word is read from ``start`` one symbol at a time through a memo of
+    (table, symbol) -> table that lives for this call only, so ``step`` runs
+    once per distinct table and symbol, however many words share it.
+    """
+    tables, index, moves, ids = [start], {start: 0}, {}, []
+    for word in words:
+        t = 0
+        for symbol in word:
+            nxt = moves.get((t, symbol))
+            if nxt is None:
+                table = step(tables[t], symbol)
+                nxt = index.setdefault(table, len(tables))
+                if nxt == len(tables):
+                    tables.append(table)
+                moves[(t, symbol)] = nxt
+            t = nxt
+        ids.append(t)
+    used, ids = np.unique(np.array(ids, dtype=np.intp), return_inverse=True)
+    return [tables[i] for i in used], ids
+
+
+def _first_occurrences(lines: np.ndarray, ids: np.ndarray) -> list[int]:
+    # lines with the same table id are equal, so only the first of each is compared
+    _, firsts = np.unique(ids, return_index=True)
     seen = {}
-    for i, row in enumerate(rows):
-        seen.setdefault(row.tobytes(), i)
-    return sorted(seen.values())
+    for i in np.sort(firsts).tolist():
+        seen.setdefault(lines[i].tobytes(), i)
+    return list(seen.values())
 
 
 def schmidt_lower_bound(a: TwoWayDFA, prefixes, suffixes) -> int:
     """Exact rank of the sampled communication matrix.
 
-    Lower-bounds the state count of every unambiguous one-way automaton for
-    the language, hence also of every DFA.
+    Taken over the matrix with duplicate rows and columns removed (the
+    rank is the same), so only the distinct part is held to rank_exact's
+    order cap permmatrix.MAX_EXACT_ORDER.  Lower-bounds the state count of
+    every unambiguous one-way automaton for the language, hence also of
+    every DFA.
     """
-    return permmatrix.rank_exact(comm_matrix(a, prefixes, suffixes).entries)
+    return permmatrix.rank_exact(comm_matrix(a, prefixes, suffixes, dedup=True).entries)
 
 
 def all_strings(alphabet, max_len: int) -> list[str]:

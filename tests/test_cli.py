@@ -215,3 +215,31 @@ def test_bad_numeric_flags_exit_2_with_one_line(capsys, argv):
     assert out.out == ""
     assert len(out.err.strip().splitlines()) == 1
     assert "error:" in out.err and "Traceback" not in out.err
+
+
+def test_2dfa_commrank_prefix_nine_ranks_the_distinct_part(capsys):
+    argv = ("2dfa", "commrank", "-a", str(DATA / "last_a.json"), "--prefix-len", "9")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.strip() == "communication matrix 1023x31 (distinct 2x3), rank 2"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "prefix_len": 9, "suffix_len": 4, "rows": 1023, "cols": 31, "rank": 2,
+        "dedup_rows": 2, "dedup_cols": 3,
+    }
+    code, out, _ = run_cli(capsys, *argv, "--dedup", "--json")
+    payload = json.loads(out)
+    assert (payload["rows"], payload["cols"]) == (payload["dedup_rows"], payload["dedup_cols"]) == (2, 3)
+
+
+def test_2dfa_commrank_over_the_cap_exits_2_with_one_line(capsys):
+    # the tenth symbol from the end: 1024 distinct rows at prefix length 10
+    code, out, err = run_cli(
+        capsys, "2dfa", "commrank", "-a", str(DATA / "tenth_from_end.json"),
+        "--prefix-len", "10", "--suffix-len", "9",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "exact-elimination cap" in err and "Traceback" not in err

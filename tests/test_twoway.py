@@ -2,6 +2,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permrank import permmatrix, twoway
@@ -226,3 +227,123 @@ def test_schmidt_bound_at_most_minimal_dfa():
 
 def test_all_strings_shortlex():
     assert all_strings("ab", 2) == ["", "a", "b", "aa", "ab", "ba", "bb"]
+
+
+# --- communication matrices from crossing tables, against direct simulation ---
+
+
+def _simulated(machine, prefixes, suffixes):
+    """The communication matrix built entry by entry from ``accepts``."""
+    return np.array(
+        [[accepts(machine, u + v) for v in suffixes] for u in prefixes], dtype=np.uint8
+    ).reshape(len(prefixes), len(suffixes))
+
+
+def test_comm_matrix_matches_direct_simulation_on_random_machines():
+    rng = random.Random(61)
+    samples = all_strings("ab", 3)
+    for i in range(150):
+        machine = random_automaton(rng, n_states=1 + i % 5)
+        cm = comm_matrix(machine, samples, samples)
+        assert cm.entries.dtype == np.uint8
+        assert np.array_equal(cm.entries, _simulated(machine, samples, samples))
+        assert cm.prefixes == cm.suffixes == tuple(samples)
+
+
+def test_comm_matrix_on_shuffled_duplicated_and_unclosed_labels():
+    rng = random.Random(67)
+    for i in range(60):
+        machine = random_automaton(rng, n_states=1 + i % 5)
+        # long strings without their ancestors, repeats, and no order
+        prefixes = [
+            "".join(rng.choice("ab") for _ in range(rng.randint(0, 9))) for _ in range(12)
+        ]
+        prefixes += rng.sample(prefixes, 4)
+        rng.shuffle(prefixes)
+        suffixes = all_strings("ab", 2) + ["babba", "aaaaaab", "b"]
+        rng.shuffle(suffixes)
+        cm = comm_matrix(machine, prefixes, suffixes)
+        assert cm.prefixes == tuple(prefixes) and cm.suffixes == tuple(suffixes)
+        assert np.array_equal(cm.entries, _simulated(machine, prefixes, suffixes))
+
+
+def test_comm_matrix_empty_label_lists_keep_their_shape(last_a):
+    assert comm_matrix(last_a, [], ["", "a", "b"]).entries.shape == (0, 3)
+    assert comm_matrix(last_a, ["", "a"], []).entries.shape == (2, 0)
+    assert comm_matrix(last_a, [], []).entries.shape == (0, 0)
+    assert comm_matrix(last_a, [], ["a"]).entries.dtype == np.uint8
+    # with no rows every column is the same empty column, and vice versa
+    assert comm_matrix(last_a, [], ["", "a", "b"], dedup=True).entries.shape == (0, 1)
+    assert comm_matrix(last_a, ["", "a"], [], dedup=True).entries.shape == (1, 0)
+    assert schmidt_lower_bound(last_a, [], ["a"]) == schmidt_lower_bound(last_a, ["a"], []) == 0
+
+
+def _first_of_each(rows):
+    firsts = {}
+    for i, row in enumerate(rows.tolist()):
+        firsts.setdefault(tuple(row), i)
+    return sorted(firsts.values())
+
+
+def test_comm_matrix_dedup_matches_deduplicated_simulation():
+    rng = random.Random(71)
+    for i in range(60):
+        machine = random_automaton(rng, n_states=1 + i % 5)
+        prefixes = all_strings("ab", 3)
+        suffixes = all_strings("ab", 3)
+        rng.shuffle(prefixes)
+        full = _simulated(machine, prefixes, suffixes)
+        rows = _first_of_each(full)
+        cols = _first_of_each(full[rows].T)
+        cm = comm_matrix(machine, prefixes, suffixes, dedup=True)
+        assert cm.prefixes == tuple(prefixes[r] for r in rows)
+        assert cm.suffixes == tuple(suffixes[c] for c in cols)
+        assert np.array_equal(cm.entries, full[np.ix_(rows, cols)])
+
+
+def test_comm_matrix_long_labels_do_not_recurse(last_a):
+    long_a = "b" * 2999 + "a"
+    long_b = "ab" * 1500
+    cm = comm_matrix(last_a, [long_a, long_b, ""], ["", "b", long_b[::-1]])
+    assert cm.entries.tolist() == [[1, 0, 1], [0, 0, 1], [0, 0, 1]]
+    machine = random_automaton(random.Random(73), n_states=5)
+    labels = [long_a, long_b, "a" * 3000]
+    assert np.array_equal(
+        comm_matrix(machine, labels, labels).entries, _simulated(machine, labels, labels)
+    )
+
+
+def test_comm_matrix_rejects_foreign_symbols(last_a):
+    with pytest.raises(ValueError, match="alphabet"):
+        comm_matrix(last_a, ["ab", "ac"], ["a"])
+    with pytest.raises(ValueError, match="alphabet"):
+        comm_matrix(last_a, ["a"], ["", "xa"])
+
+
+def test_schmidt_bound_at_prefix_length_nine(last_a, always_accept):
+    prefixes, suffixes = all_strings("ab", 9), all_strings("ab", 4)
+    assert schmidt_lower_bound(last_a, prefixes, suffixes) == 2
+    assert schmidt_lower_bound(always_accept, prefixes, suffixes) == 1
+
+
+def test_schmidt_bound_equals_rank_of_simulated_matrix():
+    rng = random.Random(83)
+    samples = all_strings("ab", 4)
+    for i in range(40):
+        machine = random_automaton(rng, n_states=1 + i % 5)
+        expected = permmatrix.rank_exact(_simulated(machine, samples, samples))
+        assert schmidt_lower_bound(machine, samples, samples) == expected
+
+
+def test_schmidt_bound_caps_only_the_distinct_part():
+    machine = TwoWayDFA.load(DATA / "tenth_from_end.json")
+    for w in all_strings("ab", 12)[::7]:
+        assert accepts(machine, w) == (len(w) >= 10 and w[-10] == "a")
+    prefixes, suffixes = all_strings("ab", 10), all_strings("ab", 9)
+    cm = comm_matrix(machine, prefixes, suffixes, dedup=True)
+    # the last ten symbols, as seen by the ten suffix lengths 0..9
+    assert cm.entries.shape == (1024, 10)
+    with pytest.raises(ValueError, match="exact-elimination cap"):
+        schmidt_lower_bound(machine, prefixes, suffixes)
+    # no prefix up to length 9 has a tenth symbol from the end: one zero column
+    assert schmidt_lower_bound(machine, all_strings("ab", 9), suffixes) == 9
