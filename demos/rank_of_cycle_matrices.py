@@ -21,9 +21,12 @@ print("degree | order | rank | expected | method")
 print("-" * 60)
 # Up to degree 6 the rank is exact: the matrix is split over the rationals
 # into one integer block per divisor d of the order m of a cyclic symmetry
-# (cyclotomic polynomial Phi_d), and fraction-free elimination runs on each
-# block.  At degree 6 that is blocks of order 120, 120, 240 and 240 instead
-# of one of 720, about 1.6 s for this whole loop instead of 11 s.
+# (cyclotomic polynomial Phi_d).  Each block's rank mod one ~31-bit prime is
+# proved exact by checking its kernel over the integers, with fraction-free
+# elimination as the fallback; the note says which proved each block.  At
+# degree 6 that is blocks of order 120, 120, 240 and 240 instead of one of
+# 720, about 0.13 s for this whole loop (1.7 s with fraction-free elimination
+# on every block).
 for k in range(1, 7):
     cert = certified_rank(k)
     expected = comb(2 * k - 2, k - 1)

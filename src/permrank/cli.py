@@ -2,8 +2,7 @@
 
 Subcommands expose the verification suites and data dumps with
 deterministic, machine-readable output; randomness enters only through
-explicit --seed flags.  The PERMRANK_THREADS environment variable caps
-elimination parallelism.
+explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -17,6 +16,11 @@ import time
 import mpmath
 
 from . import bounds, characters, permmatrix, twoway, verify
+
+#: Limits on what 2dfa commrank samples: string length, strings per side, matrix entries.
+MAX_SAMPLED_LENGTH = 64
+MAX_SAMPLED_STRINGS = 1 << 20
+MAX_SAMPLED_ENTRIES = 1 << 26
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +85,7 @@ def _cmd_rank(args) -> int:
         "method": cert.method,
         "primes": list(cert.primes),
         "blocks": dataclasses.asdict(cert.blocks) if cert.blocks else None,
+        "note": cert.note,
         "elapsed_ms": elapsed_ms,
     }
     if args.json:
@@ -99,6 +104,7 @@ def _cmd_rank(args) -> int:
                 f"blocks: {b.count} of order {b.order} per prime, from a cyclic subgroup "
                 f"of order {b.subgroup_order} (cycle type {_partition_label(b.cycle_type)})"
             )
+        print(f"note: {cert.note}")
     return 0 if cert.rank == expected else 1
 
 
@@ -171,6 +177,27 @@ def _cmd_asym(args) -> int:
     return 0
 
 
+def _oversized_sample(args, k: int) -> str | None:
+    """Why the sample 2dfa commrank would build over k symbols is too large, or None."""
+    counts = []
+    for flag, length in (("--prefix-len", args.prefix_len), ("--suffix-len", args.suffix_len)):
+        if length > MAX_SAMPLED_LENGTH:
+            return f"{flag} {length} is above the limit of {MAX_SAMPLED_LENGTH}"
+        counts.append(sum(k**i for i in range(length + 1)))
+        if counts[-1] > MAX_SAMPLED_STRINGS:
+            return (
+                f"{flag} {length} samples {counts[-1]} strings over {k} symbols; "
+                f"the limit is {MAX_SAMPLED_STRINGS}"
+            )
+    rows, cols = counts
+    if rows * cols > MAX_SAMPLED_ENTRIES:
+        return (
+            f"the sampled matrix would be {rows}x{cols} ({rows * cols} entries); "
+            f"the limit is {MAX_SAMPLED_ENTRIES}"
+        )
+    return None
+
+
 def _cmd_2dfa(args) -> int:
     try:
         automaton = twoway.TwoWayDFA.load(args.automaton)
@@ -190,7 +217,10 @@ def _cmd_2dfa(args) -> int:
             return 2
         print(outcome.value)
         return 0
-    # commrank: the rank is taken over the distinct rows and columns
+    # commrank: size the sample before building it; rank its distinct rows and columns
+    if refusal := _oversized_sample(args, len(automaton.alphabet)):
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
     prefixes = twoway.all_strings(automaton.alphabet, args.prefix_len)
     suffixes = twoway.all_strings(automaton.alphabet, args.suffix_len)
     try:
@@ -302,14 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    import warnings
-
-    try:
-        from numba.core.errors import NumbaWarning
-
-        warnings.filterwarnings("ignore", category=NumbaWarning)
-    except ImportError:
-        pass
     args = build_parser().parse_args(argv)
     return args.func(args)
 

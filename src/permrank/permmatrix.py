@@ -9,11 +9,12 @@ canonical (lexicographic) order.  Two 0/1 matrices are built:
   also the matrix of left multiplication by the sum of all n-cycles in the
   group algebra, which left_multiplication_matrix builds independently.
 
-Ranks are certified two ways: fraction-free (Bareiss) elimination over the
-integers gives the rank over the rationals exactly; elimination modulo a
-~30-bit prime gives a lower bound that equals the rational rank unless the
-prime divides a critical minor.  Storage is bit-packed (one bit per entry);
-rows are expanded to machine-word residues only inside elimination.
+Ranks are certified two ways: rank_exact gives the rank over the rationals
+(the rank mod one prime, proved by an exact kernel check, with Bareiss
+elimination as the fallback); elimination modulo random ~30-bit primes gives
+a lower bound that equals the rational rank unless the prime divides a
+critical minor.  Storage is bit-packed; rows become residues only inside
+elimination.
 
 The build copies bytes.  Entry (pi, sigma) is 1 when pi . sigma, a conjugate
 of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations form the
@@ -37,36 +38,27 @@ The exact certificate splits the same circulant structure over the
 rationals instead.  The m x m cyclic shift is similar over Q to the direct
 sum of the companion matrices of the cyclotomic polynomials Phi_d, d | m,
 so the matrix is equivalent to one integer block of order (n!/m) * phi(d)
-per divisor d, and its rational rank is the sum of their Bareiss ranks.  At
-degree 6 (m = 6) that is blocks of order 120, 120, 240 and 240 instead of one
-of order 720: about 1.6 s instead of 11 s for degrees 1..6 with Python
-integers on a 2-core x86-64 host.  rank_exact itself stays unblocked, so it
-remains an independent check of these ranks.
+per divisor d, and its rational rank is the sum of their exact ranks.  At
+degree 6 (m = 6) that is blocks of order 120, 120, 240 and 240 instead of
+one of order 720, all four proved by the kernel check: about 0.13 s for
+degrees 1..6 on a 2-core x86-64 host (1.7 s with Bareiss on every block).
+rank_exact itself stays unblocked, an independent check of these ranks.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 
 import numpy as np
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
-
-try:
-    import numba
-    from numba import njit, prange
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
 from . import group_algebra, perms, young
+
+# perfbench/child.py reads both names to record the elimination kernel and integer type.
+numba, mpz = None, int
 
 #: Order cap for exact elimination; beyond it use the modular path.
 MAX_EXACT_ORDER = 1000
@@ -76,6 +68,8 @@ MAX_LIGHT_RANK_DEGREE = 7
 
 _PRIME_LOW = 1 << 29
 _PRIME_HIGH = 1 << 31
+
+_CHECK_PRIME = 2147483629  # rank_exact's one prime, the largest below 2**31
 
 
 @dataclass(frozen=True)
@@ -246,82 +240,33 @@ def _root_of_unity(m: int, p: int) -> int:
 
 # --- elimination over Z/pZ ---
 
-def _configure_threads() -> None:
-    env = os.environ.get("PERMRANK_THREADS")
-    if env and numba is not None:
-        try:
-            numba.set_num_threads(max(1, min(int(env), numba.config.NUMBA_NUM_THREADS)))
-        except (ValueError, RuntimeError):
-            pass
+def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
+    """Row echelon form of ``a`` over Z/pZ, in place; returns the pivot columns.
 
-
-if numba is not None:
-
-    @njit(cache=True, inline="always")
-    def _mod_inverse(a, p):
-        # extended Euclid; a is nonzero mod p
-        old_r, r = a, p
-        old_s, s = 1, 0
-        while r != 0:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-        return old_s % p
-
-    @njit(cache=True, parallel=True)
-    def _elim_mod_p(a, p):
-        # In-place row echelon over Z/pZ.  Pivot = first nonzero down the
-        # column (deterministic); entries stay in [0, p), so f * a[r, j]
-        # < p**2 < 2**62 never overflows int64.
-        m, ncols = a.shape
-        r = 0
-        for c in range(ncols):
-            piv = -1
-            for i in range(r, m):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(c, ncols):
-                    tmp = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = tmp
-            inv = _mod_inverse(a[r, c], p)
-            for j in range(c, ncols):
-                a[r, j] = a[r, j] * inv % p
-            for i in prange(r + 1, m):
-                f = a[i, c]
-                if f != 0:
-                    for j in range(c, ncols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            r += 1
-            if r == m:
-                break
-        return r
-
-
-def _elim_mod_p_numpy(a: np.ndarray, p: int) -> int:
-    """Pure-numpy fallback and cross-check, same pivot rule as the kernel."""
+    ``reduced`` also clears above the pivots.  Entries stay in [0, p), so no
+    product reaches p**2 < 2**62.
+    """
     m, ncols = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
+        r = len(pivots)
+        nz = np.flatnonzero(a[r:, c]) + r
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
+        i = int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        live = np.nonzero(a[r + 1:, c])[0] + r + 1
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        # row i now holds old row r, which is zero in column c
+        live = nz[1:]
+        if reduced:
+            live = np.concatenate([np.flatnonzero(a[:r, c]), live])
         if live.size:
             a[live, c:] = (a[live, c:] - a[live, c, None] * a[r, c:]) % p
-        r += 1
-        if r == m:
+        pivots.append(c)
+        if r + 1 == m:
             break
-    return r
+    return pivots
 
 
 def _as_int64(m) -> np.ndarray:
@@ -335,22 +280,15 @@ def _as_int64(m) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def rank_mod_prime(m, p: int, *, use_kernel: bool | None = None) -> int:
+def rank_mod_prime(m, p: int) -> int:
     """Rank of an integer matrix over the field with ``p`` elements.
 
     ``p`` must be a prime with 2**29 < p < 2**31.  The result never exceeds
-    the rank over the rationals.  Deterministic for fixed ``p`` regardless
-    of thread count.
+    the rank over the rationals.
     """
     if not (_PRIME_LOW < p < _PRIME_HIGH) or not is_prime(p):
         raise ValueError(f"p must be a prime in (2**29, 2**31), got {p}")
-    a = _as_int64(m) % p
-    if use_kernel is None:
-        use_kernel = numba is not None
-    if use_kernel and numba is not None:
-        _configure_threads()
-        return int(_elim_mod_p(a, p))
-    return _elim_mod_p_numpy(a, p)
+    return len(_echelon_mod_p(_as_int64(m) % p, p))
 
 
 # --- symmetry-blocked rank mod p ---
@@ -462,41 +400,74 @@ def _cyclotomic_blocks(symbols: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-# --- fraction-free elimination over Z ---
+# --- exact rank over the rationals ---
 
 def rank_exact(m) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+    """Rank over the rationals: the rank mod one prime, proved by an exact kernel check.
 
-    Entries during elimination are exact minors of the input, so every
-    division is exact; arithmetic uses arbitrary-precision integers.
-    Limited to order MAX_EXACT_ORDER; use the modular path beyond that.
+    r = rank mod p (p = 2147483629) is a lower bound.  The reduced echelon
+    form mod p gives n - r independent kernel vectors; rationally
+    reconstructed and scaled to integers, they satisfy A K = 0 over Z only
+    if the rank is at most r.  If reconstruction or that check fails (an
+    unlucky prime, or denominators above sqrt(p/2)), fraction-free Bareiss
+    elimination gives the rank.  Limited to order MAX_EXACT_ORDER.
     """
-    if isinstance(m, BinaryMatrix):
-        if m.order > MAX_EXACT_ORDER:
-            raise ValueError(
-                f"order {m.order} exceeds exact-elimination cap {MAX_EXACT_ORDER}; "
-                "use rank_mod_prime / the modular certification path"
-            )
-        dense = m.to_dense()
-    else:
-        dense = _as_int64(m)
-        if max(dense.shape, default=0) > MAX_EXACT_ORDER:
-            raise ValueError(
-                f"dimensions {dense.shape} exceed exact-elimination cap {MAX_EXACT_ORDER}; "
-                "use rank_mod_prime / the modular certification path"
-            )
-    a = np.empty(dense.shape, dtype=object)
-    for i in range(dense.shape[0]):
-        for j in range(dense.shape[1]):
-            a[i, j] = mpz(int(dense[i, j]))
-    return _bareiss_rank(a)
+    shape = (m.order, m.order) if isinstance(m, BinaryMatrix) else np.shape(m)
+    if max(shape, default=0) > MAX_EXACT_ORDER:
+        raise ValueError(
+            f"dimensions {shape} exceed exact-elimination cap {MAX_EXACT_ORDER}; "
+            "use rank_mod_prime / the modular certification path"
+        )
+    return _rank_over_q(_as_int64(m))[0]
+
+
+def _rank_over_q(a: np.ndarray) -> tuple[int, int | None]:
+    """Rank of an int64 matrix over Q, and the prime whose kernel check proved it (None: Bareiss)."""
+    if a.shape[1] > a.shape[0]:
+        a = a.T  # the narrow side has the smaller kernel
+    n, p = a.shape[1], _CHECK_PRIME
+    echelon = a % p
+    pivots = _echelon_mod_p(echelon, p, reduced=True)
+    r = len(pivots)
+    free = np.delete(np.arange(n), pivots)
+    fractions = _rational_reconstruction(-echelon[:r, free] % p, p)
+    if fractions is not None:
+        num, den = (x.astype(object) for x in fractions)
+        scale = np.array([lcm(*column) for column in den.T.tolist()], dtype=object)
+        kernel = np.zeros((n, n - r), dtype=object)
+        kernel[pivots] = num * (scale // den)
+        kernel[free, np.arange(n - r)] = scale
+        if _vanishes(a, kernel):
+            return r, p
+    return _bareiss_rank(a.astype(object)), None
+
+
+def _rational_reconstruction(u: np.ndarray, p: int):
+    """Entrywise num/den = u (mod p), |num|, den <= sqrt(p/2), by extended Euclid; or None."""
+    bound = isqrt(p // 2)
+    r0, r1 = np.full_like(u, p), u.copy()
+    t0, t1 = np.zeros_like(u), np.ones_like(u)
+    while (live := r1 > bound).any():
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        t0[live], t1[live] = t1[live], t0[live] - q * t1[live]
+    if (np.abs(t1) > bound).any():
+        return None
+    return r1 * np.sign(t1), np.abs(t1)
+
+
+def _vanishes(a: np.ndarray, kernel: np.ndarray) -> bool:
+    """Whether a @ kernel is zero: in int64 when no sum can reach 2**62, else in Python ints."""
+    top_a, top_k = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a, kernel))
+    dtype = np.int64 if top_a * a.shape[1] * top_k < 1 << 62 else object
+    return not (a.astype(dtype, copy=False) @ kernel.astype(dtype)).any()
 
 
 def _bareiss_rank(a: np.ndarray) -> int:
-    zero, one = mpz(0), mpz(1)
+    """Rank of an object array of Python ints; every entry is an exact minor, so divisions are exact."""
     m, ncols = a.shape
     r = 0
-    prev = one
+    prev = 1
     for c in range(ncols):
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
@@ -510,7 +481,7 @@ def _bareiss_rank(a: np.ndarray) -> int:
             if c + 1 < ncols:
                 block = a[r + 1:, c + 1:]
                 a[r + 1:, c + 1:] = (block * piv - np.outer(below, a[r, c + 1:])) // prev
-            a[r + 1:, c] = zero
+            a[r + 1:, c] = 0
         prev = piv
         r += 1
         if r == m:
@@ -562,7 +533,7 @@ def certified_rank(
 ) -> RankCertificate:
     """Rank of the degree-n cycle product matrix with a method record.
 
-    Exact elimination up to degree 6 (order 720); degree 7 uses agreement
+    An exact rank up to degree 6 (order 720); degree 7 uses agreement
     across ``num_primes`` independent random ~30-bit primes, which proves
     the lower-bound direction outright and makes a silent rank drop at
     every sampled prime the only failure mode.  Degree 8 (order 40320) is
@@ -580,9 +551,11 @@ def certified_rank(
     The exact path uses the same element and symbols over the rationals.
     There the cyclic shift of order m is similar to the direct sum of the
     companion matrices C_d of the cyclotomic polynomials Phi_d (d | m), so
-    the rational rank is the sum of the Bareiss ranks of the integer blocks
+    the rational rank is the sum of the exact ranks of the integer blocks
     ``sum_j kron(G[j], C_d^j)``, of order (n!/m) * phi(d): 120, 120, 240 and
-    240 at degree 6.  The note records the cycle type and the block orders.
+    240 at degree 6, each found as rank_exact finds it.  The note records
+    the cycle type, the block orders and, block by block, whether the kernel
+    check or the Bareiss fallback proved the rank.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -608,15 +581,17 @@ def certified_rank(
     symbols = _circulant_symbols(cycle_product_matrix(n), cycle_type)
     if method == "exact":
         blocks = _cyclotomic_blocks(symbols)
+        results = [_rank_over_q(block) for block in blocks]
         return RankCertificate(
-            rank=sum(rank_exact(block) for block in blocks),
+            rank=sum(rank for rank, _ in results),
             method="exact-fraction-free",
             primes=(),
             note=(
-                "rank over the rationals by fraction-free elimination of "
-                f"{len(blocks)} cyclotomic blocks of orders "
+                f"rank over the rationals of {len(blocks)} cyclotomic blocks of orders "
                 f"{', '.join(str(len(block)) for block in blocks)} "
-                f"(cycle type {'+'.join(map(str, cycle_type))})"
+                f"(cycle type {'+'.join(map(str, cycle_type))}), certified in turn by "
+                + ", ".join(f"kernel check mod {p}" if p else "Bareiss fallback"
+                            for _, p in results)
             ),
             degree=n,
         )

@@ -74,6 +74,9 @@ class TwoWayDFA:
             raise ValueError("duplicate state names")
         if LEFT_MARK in self.alphabet or RIGHT_MARK in self.alphabet:
             raise ValueError("endmarkers are reserved and cannot be alphabet symbols")
+        for symbol in self.alphabet:
+            if not isinstance(symbol, str) or len(symbol) != 1:
+                raise ValueError(f"alphabet symbol {symbol!r} is not a single character")
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial!r} not declared")
         if not self.accepting <= set(self.states):

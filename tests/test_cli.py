@@ -243,3 +243,48 @@ def test_2dfa_commrank_over_the_cap_exits_2_with_one_line(capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "exact-elimination cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--prefix-len", "20"), "--prefix-len 20 samples 2097151 strings over 2 symbols"),
+        (("--suffix-len", "20"), "--suffix-len 20 samples 2097151 strings over 2 symbols"),
+        (("--prefix-len", "65"), "--prefix-len 65 is above the limit of 64"),
+        (("--suffix-len", "1000000000"), "--suffix-len 1000000000 is above the limit of 64"),
+        (("--prefix-len", "14", "--suffix-len", "14"), "32767x32767 (1073676289 entries)"),
+    ],
+)
+def test_2dfa_commrank_refuses_oversized_samples_with_one_line(capsys, flags, message):
+    code, out, err = run_cli(
+        capsys, "2dfa", "commrank", "-a", str(DATA / "last_a.json"), *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_2dfa_multi_character_alphabet_exits_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "machine.json"
+    machine = json.loads((DATA / "last_a.json").read_text())
+    machine["alphabet"] = ["ab", "c"]
+    machine["delta"] = [t for t in machine["delta"] if t["symbol"] in ("<", ">")]
+    path.write_text(json.dumps(machine))
+    for argv in (("run", "-w", "ab"), ("commrank", "--prefix-len", "1")):
+        code, out, err = run_cli(capsys, "2dfa", argv[0], "-a", str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "'ab' is not a single character" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_rank_json_reports_how_blocks_were_certified(capsys):
+    code, out, _ = run_cli(capsys, "rank", "--k", "5", "--json")
+    assert code == 0
+    note = json.loads(out)["note"]
+    assert "orders 20, 20, 40, 40" in note
+    assert note.count(f"kernel check mod {permmatrix._CHECK_PRIME}") == 4
+    code, out, _ = run_cli(capsys, "rank", "--k", "5")
+    assert code == 0
+    assert f"note: {note}" in out.splitlines()

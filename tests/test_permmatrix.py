@@ -210,18 +210,103 @@ def test_modular_rank_matches_fraction_oracle(rows):
     # entries are tiny, so no nonzero minor can be divisible by a 31-bit prime
     arr = np.array(rows, dtype=np.int64)
     expected = fraction_rank(rows)
-    assert permmatrix.rank_mod_prime(arr, FIXED_PRIME, use_kernel=False) == expected
-    assert permmatrix.rank_mod_prime(arr, FIXED_PRIME, use_kernel=True) == expected
+    assert permmatrix.rank_mod_prime(arr, FIXED_PRIME) == expected
 
 
-def test_kernel_and_numpy_elimination_agree_on_random_matrices():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        size = rng.integers(1, 40)
-        arr = rng.integers(0, 2, size=(size, size)).astype(np.int64)
-        a = permmatrix.rank_mod_prime(arr, FIXED_PRIME, use_kernel=True)
-        b = permmatrix.rank_mod_prime(arr, FIXED_PRIME, use_kernel=False)
-        assert a == b
+def _low_rank(rng, rows, cols, rank):
+    """A random rows x cols matrix of rank at most ``rank``, entries up to about 10**6.
+
+    rank_exact takes its kernel from the narrow side, whose factor has
+    entries in -2..2, so the kernel's denominators stay far below sqrt(p/2)
+    and the kernel check, not the Bareiss fallback, gives the rank.
+    """
+    big = rng.integers(-10**5, 10**5 + 1, size=(max(rows, cols), rank))
+    small = rng.integers(-2, 3, size=(rank, min(rows, cols)))
+    tall = big @ small
+    return tall if rows >= cols else tall.T
+
+
+def test_rank_exact_matches_bareiss_and_fractions_on_random_matrices():
+    rng = np.random.default_rng(6)
+    for rows, cols in [(9, 9), (12, 6), (6, 12), (14, 14), (1, 7), (7, 1)]:
+        for rank in range(min(rows, cols, 5) + 1):
+            arr = _low_rank(rng, rows, cols, rank)
+            assert np.abs(arr).max(initial=0) <= 10**6
+            expected = fraction_rank(arr.tolist())
+            assert permmatrix._bareiss_rank(arr.astype(object)) == expected
+            assert permmatrix._rank_over_q(arr) == (expected, permmatrix._CHECK_PRIME)
+            assert permmatrix.rank_exact(arr) == expected
+
+
+def _spy(monkeypatch, name):
+    """Record the results of permmatrix.<name> while the test runs."""
+    results = []
+    original = getattr(permmatrix, name)
+
+    def spy(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(permmatrix, name, spy)
+    return results
+
+
+def test_rank_exact_exit_kernel_check_passes(monkeypatch):
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 2, 5]]
+    assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 2
+    assert checks == [True] and fallbacks == []
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[FIXED_PRIME]], 1),
+        ([[1, 1], [1, 1 + FIXED_PRIME]], 2),  # determinant FIXED_PRIME
+        ([[3, 5, 7], [6, 10, 14 + FIXED_PRIME], [1, 1, 1]], 3),
+    ],
+)
+def test_rank_exact_exit_unlucky_prime(monkeypatch, rows, expected):
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    assert permmatrix.rank_mod_prime(rows, FIXED_PRIME) < expected
+    assert permmatrix.rank_exact(rows) == fraction_rank(rows) == expected
+    assert checks == [False] and fallbacks == [expected]
+
+
+def test_rank_exact_exit_reconstruction_fails(monkeypatch):
+    # the kernel vector (-1/40000, 1) has a denominator above sqrt(p/2) = 32767
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    rows = [[40000, 1], [80000, 2], [-40000, -1]]
+    assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 1
+    assert checks == [] and fallbacks == [1]
+
+
+def test_rational_reconstruction_bounds():
+    p, bound = FIXED_PRIME, 32767
+    fractions = [(0, 1), (1, 1), (-5, 12), (bound, bound - 1), (-bound, bound - 2), (7, 1)]
+    u = np.array([n * pow(d, -1, p) % p for n, d in fractions])
+    num, den = permmatrix._rational_reconstruction(u, p)
+    assert list(zip(num.tolist(), den.tolist())) == fractions
+    for n, d in [(1, bound + 1), (bound + 1, 1), (-1, 40000)]:
+        u = np.array([n * pow(d, -1, p) % p])
+        assert permmatrix._rational_reconstruction(u, p) is None
+
+
+def test_kernel_check_uses_python_ints_when_int64_could_wrap():
+    # 2**40 * 2**24 = 2**64 is 0 in int64 arithmetic
+    assert not permmatrix._vanishes(np.array([[1 << 40]]), np.array([[1 << 24]], dtype=object))
+    assert permmatrix._vanishes(np.array([[1 << 40, 1 << 40]]), np.array([[1 << 24], [-(1 << 24)]]))
+
+
+def test_rank_exact_with_entries_near_2_to_40(monkeypatch):
+    # kernel (a/d1, b/d2, 1), scaled by d1 * d2 to entries near 2**30
+    d1, d2, a, b = 32749, 32719, 12345, -23456
+    c = (1 << 40) // d1
+    rows = [[c * d1, 0, -c * a], [0, c * d2, -c * b], [c * d1, c * d2, -c * (a + b)]]
+    assert (d1 * d2) * 3 * max(abs(x) for row in rows for x in row) >= 1 << 62
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 2
+    assert checks == [True] and fallbacks == []
 
 
 def test_modular_rank_never_exceeds_exact():
@@ -439,6 +524,16 @@ def test_certified_rank_exact_note_names_block_orders():
     assert cert.blocks is None
     assert "orders 120, 120, 240, 240" in cert.note
     assert "cycle type 6" in cert.note
+
+
+def test_certified_rank_exact_note_names_how_each_block_was_certified(monkeypatch):
+    note = permmatrix.certified_rank(6).note
+    assert note.count(f"kernel check mod {FIXED_PRIME}") == 4
+    assert "Bareiss" not in note
+    monkeypatch.setattr(permmatrix, "_rational_reconstruction", lambda u, p: None)
+    cert = permmatrix.certified_rank(4)
+    assert cert.rank == 20
+    assert cert.note.count("Bareiss fallback") == 3 and "kernel check" not in cert.note
 
 
 def test_certified_rank_exact_refused_above_cap():

@@ -59,6 +59,12 @@ def test_validation_rejects_bad_machines():
         TwoWayDFA(("q",), ("a",), "r", frozenset(), {})
 
 
+@pytest.mark.parametrize("alphabet", [("ab", "c"), ("a", ""), ("a", 5)])
+def test_validation_rejects_symbols_that_are_not_single_characters(alphabet):
+    with pytest.raises(ValueError, match="is not a single character"):
+        TwoWayDFA(("q",), alphabet, "q", frozenset(), {})
+
+
 def test_always_accept_machine(always_accept):
     for w in all_strings("ab", 4):
         assert run(always_accept, w) is Outcome.ACCEPT
