@@ -17,10 +17,8 @@ import mpmath
 
 from . import bounds, characters, permmatrix, twoway, verify
 
-#: Limits on what 2dfa commrank samples: string length, strings per side, matrix entries.
+#: Longest string 2dfa commrank samples.
 MAX_SAMPLED_LENGTH = 64
-MAX_SAMPLED_STRINGS = 1 << 20
-MAX_SAMPLED_ENTRIES = 1 << 26
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,31 +175,10 @@ def _cmd_asym(args) -> int:
     return 0
 
 
-def _oversized_sample(args, k: int) -> str | None:
-    """Why the sample 2dfa commrank would build over k symbols is too large, or None."""
-    counts = []
-    for flag, length in (("--prefix-len", args.prefix_len), ("--suffix-len", args.suffix_len)):
-        if length > MAX_SAMPLED_LENGTH:
-            return f"{flag} {length} is above the limit of {MAX_SAMPLED_LENGTH}"
-        counts.append(sum(k**i for i in range(length + 1)))
-        if counts[-1] > MAX_SAMPLED_STRINGS:
-            return (
-                f"{flag} {length} samples {counts[-1]} strings over {k} symbols; "
-                f"the limit is {MAX_SAMPLED_STRINGS}"
-            )
-    rows, cols = counts
-    if rows * cols > MAX_SAMPLED_ENTRIES:
-        return (
-            f"the sampled matrix would be {rows}x{cols} ({rows * cols} entries); "
-            f"the limit is {MAX_SAMPLED_ENTRIES}"
-        )
-    return None
-
-
 def _cmd_2dfa(args) -> int:
     try:
         automaton = twoway.TwoWayDFA.load(args.automaton)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load automaton: {exc}", file=sys.stderr)
         return 2
     if args.twoway_command == "run":
@@ -217,20 +194,22 @@ def _cmd_2dfa(args) -> int:
             return 2
         print(outcome.value)
         return 0
-    # commrank: size the sample before building it; rank its distinct rows and columns
-    if refusal := _oversized_sample(args, len(automaton.alphabet)):
-        print(f"error: {refusal}", file=sys.stderr)
-        return 2
-    prefixes = twoway.all_strings(automaton.alphabet, args.prefix_len)
-    suffixes = twoway.all_strings(automaton.alphabet, args.suffix_len)
+    # commrank: rank the distinct part, composed from the reachable tables only
+    for flag, length in (("--prefix-len", args.prefix_len), ("--suffix-len", args.suffix_len)):
+        if length > MAX_SAMPLED_LENGTH:
+            message = f"{flag} {length} is above the limit of {MAX_SAMPLED_LENGTH}"
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     try:
-        distinct = twoway.comm_matrix(automaton, prefixes, suffixes, dedup=True)
+        distinct = twoway.distinct_comm_matrix(automaton, args.prefix_len, args.suffix_len)
         rank = permmatrix.rank_exact(distinct.entries)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     dedup_rows, dedup_cols = len(distinct.prefixes), len(distinct.suffixes)
-    rows, cols = (dedup_rows, dedup_cols) if args.dedup else (len(prefixes), len(suffixes))
+    k = len(automaton.alphabet)
+    sampled = [sum(k**i for i in range(n + 1)) for n in (args.prefix_len, args.suffix_len)]
+    rows, cols = (dedup_rows, dedup_cols) if args.dedup else sampled
     if args.json:
         print(
             json.dumps(
@@ -284,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=(*verify.SUITES, "all"))
     p.add_argument(
-        "--n", type=_int_at_least(1), default=None, help="override the suite's degree limit"
+        "--n",
+        type=_int_at_least(1),
+        default=None,
+        help="override the suite's degree limit, up to its cap "
+        f"({', '.join(f'{suite} {cap}' for suite, cap in verify.MAX_DEGREE.items())})",
     )
     p.add_argument("--quick", action="store_true", help="cap degrees at 6 and shrink samples")
     p.add_argument("--seed", type=int, default=0)

@@ -25,9 +25,13 @@ on the right endmarker, and "cv>" is built from "v>" one cell at a time, as
 a prefix table is extended.  Whether u·v is accepted is then the composition
 of the two tables: follow the bounces across the u|v boundary from the
 prefix's left-entry outcome until one side halts, or a state repeats at the
-boundary (a loop).  A communication matrix therefore needs one table per
-distinct prefix and suffix, and one composition per pair of distinct
-tables, instead of one simulation per entry.
+boundary (a loop).  Strings with equal tables have equal rows (or columns),
+so the distinct rows of the matrix over all strings up to a length are those
+of the prefix tables reachable within it, and a communication matrix costs
+one composition per pair of distinct tables, not one simulation per entry.
+One explorer walks the tables for every caller and runs each (table, symbol)
+step once; breadth-first in alphabet order, it labels each table with its
+shortlex-least word.  to_dfa's states are the prefix tables it reaches.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -51,6 +56,17 @@ HALT_REJECT = -2  # halted non-accepting or looped
 
 #: Default cap on automaton size for the one-way conversion.
 MAX_CONVERT_STATES = 5
+
+#: Most distinct crossing tables one walk may number (to_dfa's default max_states).
+MAX_TABLES = 100_000
+
+#: Keys of the JSON wire format: the automaton, and each entry of its "delta".
+_JSON_KEYS = frozenset({"states", "alphabet", "initial", "accepting", "delta"})
+_DELTA_KEYS = frozenset({"state", "symbol", "to", "move"})
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
 class Outcome(Enum):
@@ -112,13 +128,32 @@ class TwoWayDFA:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "TwoWayDFA":
+    def from_json_dict(cls, data) -> "TwoWayDFA":
+        """The automaton of a to_json_dict payload; ValueError for any other shape."""
+        if not isinstance(data, dict) or set(data) != _JSON_KEYS:
+            raise ValueError(f"expected an object with the keys {', '.join(sorted(_JSON_KEYS))}")
+        for key in ("states", "alphabet", "accepting"):
+            if not _strings(data[key]):
+                raise ValueError(f"{key!r} must be a list of strings")
+        if not isinstance(data["initial"], str):
+            raise ValueError("'initial' must be a string")
+        if not isinstance(data["delta"], list) or not all(
+            isinstance(t, dict) and set(t) == _DELTA_KEYS and _strings(list(t.values()))
+            for t in data["delta"]
+        ):
+            raise ValueError(
+                f"'delta' must be a list of objects with the string fields "
+                f"{', '.join(sorted(_DELTA_KEYS))}"
+            )
+        delta = {(t["state"], t["symbol"]): (t["to"], t["move"]) for t in data["delta"]}
+        if len(delta) != len(data["delta"]):
+            raise ValueError("'delta' has two transitions for one state and symbol")
         return cls(
             states=tuple(data["states"]),
             alphabet=tuple(data["alphabet"]),
             initial=data["initial"],
             accepting=frozenset(data["accepting"]),
-            delta={(t["state"], t["symbol"]): (t["to"], t["move"]) for t in data["delta"]},
+            delta=delta,
         )
 
     def save(self, path) -> None:
@@ -129,7 +164,11 @@ class TwoWayDFA:
     @classmethod
     def load(cls, path) -> "TwoWayDFA":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def run(a: TwoWayDFA, w: str, trace: bool = False):
@@ -271,14 +310,6 @@ def _compose(b: Behavior, table: tuple[int, ...]) -> bool:
     return False  # the same state crossed into v twice: loop
 
 
-def behavior_accepts(a: TwoWayDFA, b: Behavior) -> bool:
-    """Whether the machine accepts a whole string whose prefix table is b.
-
-    The composition of b with the table of the empty suffix.
-    """
-    return _compose(b, _end_table(a))
-
-
 @dataclass(frozen=True)
 class DFA:
     """Complete one-way DFA over integer states."""
@@ -326,33 +357,72 @@ def _normalize(b: Behavior, n_states: int) -> Behavior:
     return b
 
 
-def to_dfa(a: TwoWayDFA, max_states: int = 100_000, max_automaton_states: int = MAX_CONVERT_STATES) -> DFA:
+class _Tables:
+    """The distinct tables reached from ``start``, numbered as they are found.
+
+    A memo of (number, symbol) -> number runs ``step(table, symbol)`` once
+    per distinct table and symbol; more than ``budget`` tables raise ValueError.
+    """
+
+    def __init__(self, start, step, budget: int):
+        self.tables, self._numbers, self.moves = [start], {start: 0}, {}
+        self._step, self._budget = step, budget
+
+    def move(self, t: int, symbol: str) -> int:
+        nxt = self.moves.get((t, symbol))
+        if nxt is None:
+            table = self._step(self.tables[t], symbol)
+            nxt = self._numbers.get(table)
+            if nxt is None:
+                if len(self.tables) == self._budget:
+                    raise ValueError(f"crossing-table budget {self._budget} exceeded")
+                nxt = self._numbers[table] = len(self.tables)
+                self.tables.append(table)
+            self.moves[(t, symbol)] = nxt
+        return nxt
+
+    def explore(self, alphabet, max_len: int | None = None) -> list[str]:
+        """From a fresh start, number the tables of all words up to max_len (None: any).
+
+        The walk is breadth-first in alphabet order, so the word returned for
+        each table, the first one found, is its shortlex-least word.
+        """
+        words = [""]
+        for t, word in enumerate(words):  # words grows as tables are found
+            if len(word) == max_len:
+                break
+            for symbol in alphabet:
+                if self.move(t, symbol) == len(words):
+                    words.append(word + symbol)
+        return words
+
+
+def _prefix_tables(a: TwoWayDFA, budget: int) -> _Tables:
+    n = len(a.states)
+    start = _normalize(prefix_behavior(a, ""), n)
+    return _Tables(start, lambda b, c: _normalize(extend_behavior(a, b, c), n), budget)
+
+
+def _suffix_tables(a: TwoWayDFA, budget: int) -> _Tables:
+    """Suffix tables, read right to left: their words are reversed suffixes."""
+    return _Tables(_end_table(a), lambda t, c: _prepend(a, t, c), budget)
+
+
+def to_dfa(a: TwoWayDFA, max_states: int = MAX_TABLES, max_automaton_states: int = MAX_CONVERT_STATES) -> DFA:
     """One-way DFA over the reachable (normalized) crossing tables.
 
     Recognizes the same language; the state count is the reachable behavior
-    count.
+    count, and more than ``max_states`` of them raise ValueError.
     """
     if len(a.states) > max_automaton_states:
         raise ValueError(
             f"{len(a.states)} states exceeds the conversion cap {max_automaton_states}"
         )
-    n = len(a.states)
-    start = _normalize(prefix_behavior(a, ""), n)
-    index: dict[Behavior, int] = {start: 0}
-    queue = [start]
-    delta: dict[tuple[int, str], int] = {}
-    while queue:
-        b = queue.pop()
-        for symbol in a.alphabet:
-            nb = _normalize(extend_behavior(a, b, symbol), n)
-            if nb not in index:
-                if len(index) >= max_states:
-                    raise ValueError(f"behavior state budget {max_states} exceeded")
-                index[nb] = len(index)
-                queue.append(nb)
-            delta[(index[b], symbol)] = index[nb]
-    accepting = frozenset(i for b, i in index.items() if behavior_accepts(a, b))
-    return DFA(len(index), a.alphabet, 0, accepting, delta)
+    tables = _prefix_tables(a, max_states)
+    tables.explore(a.alphabet)  # every table, so the memo holds every move
+    end = _end_table(a)
+    accepting = frozenset(t for t, b in enumerate(tables.tables) if _compose(b, end))
+    return DFA(len(tables.tables), a.alphabet, 0, accepting, tables.moves)
 
 
 @dataclass(frozen=True)
@@ -375,66 +445,58 @@ def comm_matrix(
     equal rows (or columns), so the compositions are made once per pair of
     distinct tables and scattered into the matrix.  The labels may be in any
     order, repeat, and need not be prefix-closed; a symbol outside the
-    alphabet raises ValueError.
+    alphabet, or more than MAX_TABLES tables, raises ValueError.
 
-    With dedup=True, duplicate rows and then duplicate columns are removed,
-    keeping the first label of each kind; the rank is unaffected.
+    With dedup=True, duplicate rows and then duplicate columns are removed
+    from the compositions, keeping the first label of each kind; the rank
+    is unaffected.
     """
-    prefixes = tuple(prefixes)
-    suffixes = tuple(suffixes)
-    n = len(a.states)
-    row_tables, row_ids = _table_ids(
-        prefixes, _normalize(prefix_behavior(a, ""), n),
-        lambda b, c: _normalize(extend_behavior(a, b, c), n),
-    )
-    col_tables, col_ids = _table_ids(
-        (v[::-1] for v in suffixes), _end_table(a), lambda t, c: _prepend(a, t, c)
-    )
-    composed = np.array(
+    prefixes, suffixes = tuple(prefixes), tuple(suffixes)
+    rows, row_firsts, row_ids = _read(_prefix_tables(a, MAX_TABLES), prefixes)
+    cols, col_firsts, col_ids = _read(_suffix_tables(a, MAX_TABLES), (v[::-1] for v in suffixes))
+    composed = _composed(rows, cols)
+    if dedup:
+        # tables in order of their first label, so that label is the one kept
+        r, c = np.argsort(row_firsts), np.argsort(col_firsts)
+        labels = [prefixes[i] for i in row_firsts[r]], [suffixes[j] for j in col_firsts[c]]
+        return _distinct(composed[np.ix_(r, c)], *labels)
+    return CommMatrix(prefixes, suffixes, composed[row_ids[:, None], col_ids])
+
+
+def distinct_comm_matrix(a: TwoWayDFA, prefix_len: int, suffix_len: int) -> CommMatrix:
+    """comm_matrix over all strings up to the given lengths, with dedup=True.
+
+    Composes only the tables reachable within the lengths (at most
+    MAX_TABLES a side, else ValueError) and never builds the strings.
+    Shape, row labels, set of columns and rank are the same; a column's
+    label is the suffix whose reversal is shortlex-least.
+    """
+    rows, cols = _prefix_tables(a, MAX_TABLES), _suffix_tables(a, MAX_TABLES)
+    row_words = rows.explore(a.alphabet, prefix_len)
+    col_words = [w[::-1] for w in cols.explore(a.alphabet, suffix_len)]
+    return _distinct(_composed(rows.tables, cols.tables), row_words, col_words)
+
+
+def _read(tables: _Tables, words):
+    """The distinct tables of ``words``, the index of the first word of each,
+    and per word the index of its table among them."""
+    ids = np.array([reduce(tables.move, w, 0) for w in words], dtype=np.intp)
+    used, firsts, ids = np.unique(ids, return_index=True, return_inverse=True)
+    return [tables.tables[t] for t in used], firsts, ids
+
+
+def _composed(row_tables, col_tables) -> np.ndarray:
+    return np.array(
         [[_compose(b, t) for t in col_tables] for b in row_tables], dtype=np.uint8
     ).reshape(len(row_tables), len(col_tables))
-    entries = composed[row_ids[:, None], col_ids]
-    if dedup:
-        keep_rows = _first_occurrences(entries, row_ids)
-        prefixes = tuple(prefixes[i] for i in keep_rows)
-        entries = entries[keep_rows]
-        keep_cols = _first_occurrences(entries.T, col_ids)
-        suffixes = tuple(suffixes[j] for j in keep_cols)
-        entries = entries[:, keep_cols]
-    return CommMatrix(prefixes, suffixes, entries)
 
 
-def _table_ids(words, start, step):
-    """The distinct tables of ``words`` and, per word, the index of its table.
-
-    Each word is read from ``start`` one symbol at a time through a memo of
-    (table, symbol) -> table that lives for this call only, so ``step`` runs
-    once per distinct table and symbol, however many words share it.
-    """
-    tables, index, moves, ids = [start], {start: 0}, {}, []
-    for word in words:
-        t = 0
-        for symbol in word:
-            nxt = moves.get((t, symbol))
-            if nxt is None:
-                table = step(tables[t], symbol)
-                nxt = index.setdefault(table, len(tables))
-                if nxt == len(tables):
-                    tables.append(table)
-                moves[(t, symbol)] = nxt
-            t = nxt
-        ids.append(t)
-    used, ids = np.unique(np.array(ids, dtype=np.intp), return_inverse=True)
-    return [tables[i] for i in used], ids
-
-
-def _first_occurrences(lines: np.ndarray, ids: np.ndarray) -> list[int]:
-    # lines with the same table id are equal, so only the first of each is compared
-    _, firsts = np.unique(ids, return_index=True)
-    seen = {}
-    for i in np.sort(firsts).tolist():
-        seen.setdefault(lines[i].tobytes(), i)
-    return list(seen.values())
+def _distinct(entries: np.ndarray, row_labels, col_labels) -> CommMatrix:
+    """Keep the first of each distinct row, then of each distinct column, with its label."""
+    rows = np.sort(np.unique(entries, axis=0, return_index=True)[1])
+    cols = np.sort(np.unique(entries[rows].T, axis=0, return_index=True)[1])
+    labels = tuple(row_labels[i] for i in rows), tuple(col_labels[j] for j in cols)
+    return CommMatrix(*labels, entries[np.ix_(rows, cols)])
 
 
 def schmidt_lower_bound(a: TwoWayDFA, prefixes, suffixes) -> int:

@@ -26,6 +26,12 @@ SUITES = (
     "automata",
 )
 
+#: Largest degree (--n) of each suite that takes one: the cap of the functions
+#: it calls (operator, characters), or about 20 s of work on a 2-core x86-64
+#: host (centrality 7: 12-17 s, hooks 45: 15 s, dims 47: 18 s).  The other
+#: suites take no degree and ignore --n.
+MAX_DEGREE = {"centrality": 7, "operator": 6, "characters": 10, "hooks": 45, "dims": 47}
+
 
 @dataclass
 class CaseFailure:
@@ -268,7 +274,14 @@ def run_suite(
     max_n: int | None = None,
     seed: int = 0,
 ) -> VerifyReport:
-    """Run one named suite (or 'all') and return its report."""
+    """Run one named suite (or 'all') and return its report.
+
+    A max_n above a suite's MAX_DEGREE raises ValueError before any work.
+    """
+    for suite in SUITES if name == "all" else (name,):
+        cap = MAX_DEGREE.get(suite)
+        if max_n is not None and cap is not None and max_n > cap:
+            raise ValueError(f"degree {max_n} is above the {suite} suite's cap of {cap}")
     if name == "all":
         merged = VerifyReport("all")
         t0 = time.perf_counter()

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permrank import cli, permmatrix
+from permrank import cli, permmatrix, twoway, verify
 
 DATA = Path(__file__).parent / "data"
 
@@ -248,11 +253,10 @@ def test_2dfa_commrank_over_the_cap_exits_2_with_one_line(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (("--prefix-len", "20"), "--prefix-len 20 samples 2097151 strings over 2 symbols"),
-        (("--suffix-len", "20"), "--suffix-len 20 samples 2097151 strings over 2 symbols"),
+        (("--prefix-len", "65", "--suffix-len", "65"), "--prefix-len 65 is above the limit of 64"),
+        (("--suffix-len", "65"), "--suffix-len 65 is above the limit of 64"),
         (("--prefix-len", "65"), "--prefix-len 65 is above the limit of 64"),
         (("--suffix-len", "1000000000"), "--suffix-len 1000000000 is above the limit of 64"),
-        (("--prefix-len", "14", "--suffix-len", "14"), "32767x32767 (1073676289 entries)"),
     ],
 )
 def test_2dfa_commrank_refuses_oversized_samples_with_one_line(capsys, flags, message):
@@ -288,3 +292,125 @@ def test_rank_json_reports_how_blocks_were_certified(capsys):
     code, out, _ = run_cli(capsys, "rank", "--k", "5")
     assert code == 0
     assert f"note: {note}" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "flags, payload",
+    [
+        (("--prefix-len", "20"), '"prefix_len": 20, "suffix_len": 4, "rows": 2097151, "cols": 31'),
+        (("--suffix-len", "20"), '"prefix_len": 4, "suffix_len": 20, "rows": 31, "cols": 2097151'),
+        (
+            ("--prefix-len", "14", "--suffix-len", "14"),
+            '"prefix_len": 14, "suffix_len": 14, "rows": 32767, "cols": 32767',
+        ),
+        (
+            ("--prefix-len", "64", "--suffix-len", "64"),
+            '"prefix_len": 64, "suffix_len": 64, '
+            '"rows": 36893488147419103231, "cols": 36893488147419103231',
+        ),
+    ],
+    ids=["prefix-20", "suffix-20", "both-14", "both-64"],
+)
+def test_2dfa_commrank_large_samples_rank_the_reachable_tables(capsys, flags, payload):
+    # the sampled strings are counted, never built: the distinct part is 2x3 at any length
+    code, out, err = run_cli(
+        capsys, "2dfa", "commrank", "-a", str(DATA / "last_a.json"), *flags, "--json"
+    )
+    assert code == 0 and err == ""
+    assert out == "{" + payload + ', "rank": 2, "dedup_rows": 2, "dedup_cols": 3}\n'
+
+
+def test_2dfa_commrank_over_the_table_budget_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(twoway, "MAX_TABLES", 100)
+    code, out, err = run_cli(
+        capsys, "2dfa", "commrank", "-a", str(DATA / "tenth_from_end.json"),
+        "--prefix-len", "9", "--suffix-len", "2",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: crossing-table budget 100 exceeded\n"
+
+
+@pytest.mark.parametrize("suite", [*verify.MAX_DEGREE, "all"])
+def test_verify_degree_above_the_suite_cap_exits_2_before_any_work(capsys, monkeypatch, suite):
+    for name in verify.SUITES:
+        monkeypatch.setattr(verify, f"_suite_{name}", lambda *a, **k: pytest.fail("suite ran"))
+    caps = verify.MAX_DEGREE if suite == "all" else {suite: verify.MAX_DEGREE[suite]}
+    first = min(caps, key=caps.get)
+    n = caps[first] + 1
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", str(n))
+    assert code == 2 and out == ""
+    assert err == f"error: degree {n} is above the {first} suite's cap of {caps[first]}\n"
+
+
+def test_verify_suite_caps():
+    # the caps of the functions each suite calls, and the measured ~20 s degrees
+    assert verify.MAX_DEGREE == {
+        "centrality": 7, "operator": 6, "characters": 10, "hooks": 45, "dims": 47,
+    }
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NOT_STR = _JSON.filter(lambda v: not isinstance(v, str))
+_NOT_STRINGS = _JSON.filter(
+    lambda v: not (isinstance(v, list) and all(isinstance(s, str) for s in v))
+)
+_VALID = json.loads((DATA / "last_a.json").read_text())
+
+
+@st.composite
+def _malformed_automata(draw):
+    """JSON that to_json_dict never writes: each draw breaks one level of the shape."""
+    data = json.loads(json.dumps(_VALID))
+    kinds = ["top", "missing", "extra", "list", "initial", "delta", "entry", "field", "repeat"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "top":
+        return draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    if kind == "missing":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif kind == "extra":
+        data[draw(st.text(max_size=3).filter(lambda k: k not in data))] = draw(_JSON)
+    elif kind == "list":
+        data[draw(st.sampled_from(["states", "alphabet", "accepting"]))] = draw(_NOT_STRINGS)
+    elif kind == "initial":
+        data["initial"] = draw(_NOT_STR)
+    elif kind == "delta":
+        data["delta"] = draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    elif kind == "entry":
+        i = draw(st.integers(0, len(data["delta"]) - 1))
+        data["delta"][i] = draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "field":
+        entry = draw(st.sampled_from(data["delta"]))
+        entry[draw(st.sampled_from(sorted(entry)))] = draw(_NOT_STR)
+    else:  # a second transition for one state and symbol
+        entry = dict(draw(st.sampled_from(data["delta"])))
+        entry["to"] = draw(st.sampled_from(data["states"]))
+        data["delta"].insert(draw(st.integers(0, len(data["delta"]))), entry)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_malformed_automata(), command=st.sampled_from(["run", "commrank"]))
+def test_malformed_automaton_json_exits_2_with_one_line(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "machine.json"
+        path.write_text(json.dumps(data))
+        argv = ["2dfa", command, "-a", str(path), *(["-w", "ab"] if command == "run" else [])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: cannot load automaton: ")
+    assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()
+
+
+def test_deeply_nested_automaton_json_exits_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "2dfa", "run", "-a", str(path), "-w", "a")
+    assert code == 2 and out == ""
+    assert err == "error: cannot load automaton: JSON nested too deeply\n"

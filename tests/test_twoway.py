@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from permrank.twoway import (
     accepts,
     all_strings,
     comm_matrix,
+    distinct_comm_matrix,
     extend_behavior,
     prefix_behavior,
     random_automaton,
@@ -353,3 +356,60 @@ def test_schmidt_bound_caps_only_the_distinct_part():
         schmidt_lower_bound(machine, prefixes, suffixes)
     # no prefix up to length 9 has a tenth symbol from the end: one zero column
     assert schmidt_lower_bound(machine, all_strings("ab", 9), suffixes) == 9
+
+
+# --- the table explorer ---
+
+
+def test_distinct_comm_matrix_matches_deduplicated_comm_matrix():
+    rng = random.Random(89)
+    for i in range(300):
+        alphabet = "ab" if i % 2 else "abc"
+        machine = random_automaton(rng, n_states=1 + i % 5, alphabet=alphabet)
+        prefix_len, suffix_len = rng.randint(0, 5 if alphabet == "ab" else 4), rng.randint(0, 4)
+        prefixes, suffixes = all_strings(alphabet, prefix_len), all_strings(alphabet, suffix_len)
+        expected = comm_matrix(machine, prefixes, suffixes, dedup=True)
+        got = distinct_comm_matrix(machine, prefix_len, suffix_len)
+        assert got.entries.shape == expected.entries.shape
+        assert got.prefixes == expected.prefixes
+        columns = [set(map(tuple, m.entries.T.tolist())) for m in (got, expected)]
+        assert columns[0] == columns[1]
+        assert permmatrix.rank_exact(got.entries) == permmatrix.rank_exact(expected.entries)
+        # each label names its line: the matrix of the labels is the distinct part
+        assert np.array_equal(got.entries, _simulated(machine, got.prefixes, got.suffixes))
+
+
+def test_explored_words_are_shortlex_least():
+    rng = random.Random(97)
+    for i in range(60):
+        machine = random_automaton(rng, n_states=1 + i % 5)
+        tables = twoway._prefix_tables(machine, twoway.MAX_TABLES)
+        words = tables.explore(machine.alphabet, 5)
+        first = {}
+        for w in all_strings(machine.alphabet, 5):
+            first.setdefault(reduce(tables.move, w, 0), w)
+        assert len(tables.tables) == len(words) == len(first)
+        assert [first[t] for t in range(len(words))] == words
+
+
+def test_to_dfa_refuses_more_tables_than_its_budget():
+    machine = random_automaton(random.Random(2), n_states=5)
+    n = to_dfa(machine).n_states
+    assert n == 8 and to_dfa(machine, max_states=n).n_states == n
+    with pytest.raises(ValueError, match=f"crossing-table budget {n - 1} exceeded"):
+        to_dfa(machine, max_states=n - 1)
+    assert inspect.signature(to_dfa).parameters["max_states"].default == twoway.MAX_TABLES
+
+
+def test_comm_matrix_refuses_more_tables_than_the_budget(last_a, monkeypatch):
+    # last_a reaches 2 prefix tables and 5 suffix tables (within suffix length 2)
+    monkeypatch.setattr(twoway, "MAX_TABLES", 5)
+    assert distinct_comm_matrix(last_a, 9, 9).entries.shape == (2, 3)
+    assert comm_matrix(last_a, ["ab"], all_strings("ab", 3)).entries.shape == (1, 15)
+    monkeypatch.setattr(twoway, "MAX_TABLES", 4)
+    for build in (
+        lambda: comm_matrix(last_a, ["ab"], all_strings("ab", 2), dedup=True),
+        lambda: distinct_comm_matrix(last_a, 0, 2),
+    ):
+        with pytest.raises(ValueError, match="crossing-table budget 4 exceeded"):
+            build()
