@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-heavy",
         action="store_true",
-        help="permit degree 8 (about 75 s per prime and 0.46 GB on 2 cores)",
+        help="permit degree 8 (about 22 s for one prime, 58 s for three, 0.46 GB on 2 cores)",
     )
     p.set_defaults(func=_cmd_rank)
 
@@ -267,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(1),
         default=None,
         help="override the suite's degree limit, up to its cap "
-        f"({', '.join(f'{suite} {cap}' for suite, cap in verify.MAX_DEGREE.items())})",
+        f"({', '.join(f'{suite} {cap}' for suite, cap in verify.MAX_DEGREE.items())}); "
+        "the other suites take no degree and refuse --n, and with --suite all it "
+        "applies only to the suites listed",
     )
     p.add_argument("--quick", action="store_true", help="cap degrees at 6 and shrink samples")
     p.add_argument("--seed", type=int, default=0)

@@ -19,6 +19,8 @@ import itertools
 from math import factorial
 from typing import Sequence
 
+import numpy as np
+
 Perm = tuple[int, ...]
 
 #: Degree cap for whole-group enumeration (8! = 40320 permutations).
@@ -125,6 +127,21 @@ def perm_rank(p: Perm) -> int:
         smaller_right = sum(1 for j in range(i + 1, n) if p[j] < p[i])
         r += smaller_right * factorial(n - 1 - i)
     return r
+
+
+def perm_array(n: int) -> np.ndarray:
+    """All n! permutations of degree ``n`` as an int8 array of shape (n!, n), in rank order."""
+    return np.array(all_perms(n), dtype=np.int8).reshape(factorial(n), n)
+
+
+def perm_ranks(perm_arr: np.ndarray) -> np.ndarray:
+    """:func:`perm_rank` of every permutation along the last axis of an array."""
+    n = perm_arr.shape[-1]
+    ranks = np.zeros(perm_arr.shape[:-1], dtype=np.int64)
+    for i in range(n - 1):  # Horner form of sum_i c_i * (n-1-i)!
+        ranks *= n - i
+        ranks += (perm_arr[..., i + 1:] < perm_arr[..., i, None]).sum(axis=-1, dtype=np.int8)
+    return ranks
 
 
 def perm_unrank(n: int, r: int) -> Perm:

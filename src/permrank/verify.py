@@ -28,8 +28,9 @@ SUITES = (
 
 #: Largest degree (--n) of each suite that takes one: the cap of the functions
 #: it calls (operator, characters), or about 20 s of work on a 2-core x86-64
-#: host (centrality 7: 12-17 s, hooks 45: 15 s, dims 47: 18 s).  The other
-#: suites take no degree and ignore --n.
+#: host (centrality 7: 0.5 s, 8: 26 s; hooks 45: 15 s, dims 47: 18 s).  The
+#: other suites take no degree and refuse one; under 'all' it applies only to
+#: the suites here.
 MAX_DEGREE = {"centrality": 7, "operator": 6, "characters": 10, "hooks": 45, "dims": 47}
 
 
@@ -194,7 +195,7 @@ def _suite_dims(report: VerifyReport, max_n: int) -> None:
         )
 
 
-def _suite_table1(report: VerifyReport, max_n: int = 10) -> None:
+def _suite_table1(report: VerifyReport) -> None:
     for n, (earlier, new, upper) in reference_data.BOUNDS_TABLE.items():
         report.check(
             f"bound table row {n}",
@@ -204,13 +205,11 @@ def _suite_table1(report: VerifyReport, max_n: int = 10) -> None:
         )
 
 
-def _suite_asym(report: VerifyReport, max_n: int = 400) -> None:
+def _suite_asym(report: VerifyReport) -> None:
     import mpmath
 
     deviations = []
     for n, frozen in sorted(reference_data.ASYMPTOTIC_RATIOS.items()):
-        if n > max_n:
-            continue
         r = bounds.asymptotic_ratio(n, digits=40)
         with mpmath.workdps(45):
             diff = abs(r - mpmath.mpf(frozen))
@@ -228,14 +227,13 @@ def _suite_asym(report: VerifyReport, max_n: int = 400) -> None:
         all(a[1] > b[1] for a, b in zip(deviations, deviations[1:])),
         "|ratio - 1| shrinks along 10, 50, 100, 200, 400",
     )
-    if max_n >= 400:
-        report.check(
-            "deviation cap at n=400",
-            True,
-            float(abs(bounds.asymptotic_ratio(400, digits=40) - 1))
-            < reference_data.ASYMPTOTIC_CAP_AT_400,
-            "within the cap fixed by the oracle pre-run",
-        )
+    report.check(
+        "deviation cap at n=400",
+        True,
+        float(abs(bounds.asymptotic_ratio(400, digits=40) - 1))
+        < reference_data.ASYMPTOTIC_CAP_AT_400,
+        "within the cap fixed by the oracle pre-run",
+    )
 
 
 def _suite_automata(report: VerifyReport, machines: int = 100, seed: int = 0) -> None:
@@ -276,8 +274,14 @@ def run_suite(
 ) -> VerifyReport:
     """Run one named suite (or 'all') and return its report.
 
-    A max_n above a suite's MAX_DEGREE raises ValueError before any work.
+    A max_n above a suite's MAX_DEGREE, or for a suite that takes no degree,
+    raises ValueError before any work; 'all' passes it only to the suites
+    that take one.
     """
+    if max_n is not None and name in SUITES and name not in MAX_DEGREE:
+        raise ValueError(
+            f"the {name} suite takes no degree; --n applies to {', '.join(MAX_DEGREE)}"
+        )
     for suite in SUITES if name == "all" else (name,):
         cap = MAX_DEGREE.get(suite)
         if max_n is not None and cap is not None and max_n > cap:
@@ -286,7 +290,8 @@ def run_suite(
         merged = VerifyReport("all")
         t0 = time.perf_counter()
         for sub in SUITES:
-            sub_report = run_suite(sub, quick=quick, max_n=max_n, seed=seed)
+            sub_n = max_n if sub in MAX_DEGREE else None
+            sub_report = run_suite(sub, quick=quick, max_n=sub_n, seed=seed)
             merged.cases += sub_report.cases
             merged.failures.extend(sub_report.failures)
         merged.elapsed_s = time.perf_counter() - t0

@@ -349,6 +349,25 @@ def test_verify_suite_caps():
     }
 
 
+@pytest.mark.parametrize("suite", ["table1", "asym", "automata"])
+def test_verify_degree_for_a_suite_without_one_exits_2_with_one_line(capsys, monkeypatch, suite):
+    monkeypatch.setattr(verify, f"_suite_{suite}", lambda *a, **k: pytest.fail("suite ran"))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", "100")
+    assert code == 2 and out == ""
+    assert err == (f"error: the {suite} suite takes no degree; "
+                   "--n applies to centrality, operator, characters, hooks, dims\n")
+
+
+def test_verify_all_passes_the_degree_only_to_suites_that_take_one(monkeypatch):
+    seen = {}
+    for name in verify.SUITES:
+        monkeypatch.setattr(verify, f"_suite_{name}",
+                            lambda report, *a, name=name, **k: seen.setdefault(name, a))
+    assert verify.run_suite("all", max_n=3).ok
+    assert seen == {**{name: (3,) for name in verify.MAX_DEGREE},
+                    "table1": (), "asym": (), "automata": ()}
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)

@@ -77,6 +77,37 @@ def test_class_sums_are_central(n):
         assert ga.is_central(ga.conjugacy_class_sum(n, mu))
 
 
+def _commutes_with_every_basis_element(a):
+    # the dict-based products as the reference for the vectorised check
+    return all(ga.basis(x) * a == a * ga.basis(x) for x in perms.all_perms(a.degree))
+
+
+@pytest.mark.parametrize("chunk", [ga._CHUNK, 7])
+def test_is_central_matches_elementwise_products(monkeypatch, chunk):
+    from permrank import young
+
+    monkeypatch.setattr(ga, "_CHUNK", chunk)
+
+    rng = random.Random(11)
+    cases = [ga.GroupAlgebraElement(3, {})]
+    # the transposition class with unequal coefficients: x . a and a . x
+    # have the same support for every x, only the coefficients differ
+    cases.append(ga.GroupAlgebraElement(3, {(1, 0, 2): 1, (2, 1, 0): 2, (0, 2, 1): 3}))
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            cases.append(random_element(rng, n, support=rng.randint(0, 6)))
+        for mu in young.partitions(n):
+            scale = rng.choice([1, -2, 10**30])
+            terms = ga.conjugacy_class_sum(n, mu).coeffs
+            cases.append(ga.GroupAlgebraElement(n, {p: scale for p in terms}))
+            # one coefficient beyond int64 breaks the class-constant pattern
+            cases.append(ga.GroupAlgebraElement(n, {**{p: scale for p in terms},
+                                                    min(terms): 10**40}))
+    verdicts = [ga.is_central(a) for a in cases]
+    assert verdicts == [_commutes_with_every_basis_element(a) for a in cases]
+    assert True in verdicts and False in verdicts
+
+
 def test_associativity_and_distributivity_spot_checks():
     rng = random.Random(7)
     for n in (2, 3, 4):

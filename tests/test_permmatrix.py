@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 import pytest
@@ -144,7 +144,7 @@ def test_seeded_entries_match_definition(n):
 def test_ranks_match_perm_rank(n):
     group = perms.all_perms(n)
     random.Random(n).shuffle(group)
-    ranks = permmatrix._ranks(np.array(group, dtype=np.int8))
+    ranks = perms.perm_ranks(np.array(group, dtype=np.int8))
     assert ranks.tolist() == [perms.perm_rank(p) for p in group]
 
 
@@ -154,7 +154,7 @@ def test_ranks_on_stacked_input():
     a = perms.from_cycles(n, (1, 2, 3), (4, 5))
     a_pow = np.array([_power(a, d) for d in range(6)], dtype=np.int8)
     perm_arr = np.array(perms.all_perms(n), dtype=np.int8)
-    ranks = permmatrix._ranks(perm_arr[:, a_pow])
+    ranks = perms.perm_ranks(perm_arr[:, a_pow])
     assert ranks.shape == (factorial(n), 6)
     for i, pi in enumerate(perms.all_perms(n)):
         for d in range(6):
@@ -477,6 +477,51 @@ def test_blocked_rank_on_every_class_indicator(n):
         assert permmatrix._blocked_rank(permmatrix._circulant_symbols(mat, cycle_type), p) == full
         ranks.add(full)
     assert len(ranks) > 2
+
+
+def _fourier_block_ranks(symbols, p):
+    """Rank mod p of each of the m Fourier blocks B_t = sum_d w^(-d t) G[d], t = 0..m-1."""
+    m = symbols.shape[0]
+    w = permmatrix._root_of_unity(m, p)
+    g = symbols.astype(np.int64)
+    return [permmatrix.rank_mod_prime(sum(pow(w, -d * t % m, p) * g[d] for d in range(m)), p)
+            for t in range(m)]
+
+
+def _assert_rank_depends_only_on_gcd(symbols, p):
+    m = symbols.shape[0]
+    ranks = _fourier_block_ranks(symbols, p)
+    assert all(ranks[t] == ranks[gcd(t, m) % m] for t in range(m))
+    assert permmatrix._blocked_rank(symbols, p) == sum(ranks)
+    return ranks
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_fourier_block_rank_depends_only_on_gcd(n):
+    # the equivalence of B_t and B_(u t) that lets _blocked_rank eliminate
+    # one block per class, checked on every block
+    cycle_type = permmatrix._max_order_cycle_type(n)
+    symbols = permmatrix._circulant_symbols(permmatrix.cycle_product_matrix(n), cycle_type)
+    p = permmatrix.random_prime(random.Random(n), lcm(*cycle_type))
+    ranks = _assert_rank_depends_only_on_gcd(symbols, p)
+    if n == 7:
+        assert ranks == [98, 70, 56, 112, 56, 70, 98, 70, 56, 112, 56, 70]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fourier_block_rank_depends_only_on_gcd_for_every_class_indicator(n):
+    cycle_type = permmatrix._max_order_cycle_type(n)
+    p = permmatrix.random_prime(random.Random(n), lcm(*cycle_type))
+    for lam in young.partitions(n):
+        mat = _class_indicator_matrix(n, {lam})
+        _assert_rank_depends_only_on_gcd(permmatrix._circulant_symbols(mat, cycle_type), p)
+
+
+@pytest.mark.parametrize("m, classes", [(1, {1: 1}), (6, {6: 1, 1: 2, 2: 2, 3: 1}),
+                                        (12, {12: 1, 1: 4, 2: 2, 3: 2, 4: 2, 6: 1}),
+                                        (15, {15: 1, 1: 8, 3: 4, 5: 2})])
+def test_fourier_classes(m, classes):
+    assert permmatrix._fourier_classes(m) == classes
 
 
 @pytest.mark.parametrize("m", range(1, 16))
