@@ -19,28 +19,39 @@ from permrank import (
 
 print("degree | order | rank | expected | method")
 print("-" * 60)
-# Up to degree 6 the rank is exact: the matrix is split over the rationals
-# into one integer block per divisor d of the order m of a cyclic symmetry
-# (cyclotomic polynomial Phi_d).  Each block's rank mod one ~31-bit prime is
-# proved exact by checking its kernel over the integers, with fraction-free
-# elimination as the fallback; the note says which proved each block.  At
-# degree 6 that is blocks of order 120, 120, 240 and 240 instead of one of
-# 720, about 0.13 s for this whole loop (1.7 s with fraction-free elimination
-# on every block).
+# Up to degree 6 the rank is exact.  Rows and columns are grouped into
+# orbits of <a> x <b>, acting by pi -> b^e . pi . a^d and
+# sigma -> a^-d . sigma . b^-e, which conjugates sigma . pi and so keeps
+# every entry; a and b are chosen so that no nontrivial power of one has the
+# cycle type of a nontrivial power of the other, which makes the action
+# free.  Over the rationals the matrix then splits into one integer block
+# per pair of divisors d1 | m1, d2 | m2 of the two orders (cyclotomic
+# polynomials Phi_d1 and Phi_d2).  Each block's rank mod one ~31-bit prime
+# is proved exact by checking its kernel over the integers, with
+# fraction-free elimination as the fallback; the note says which proved
+# each block.  At degree 6 that is 16 blocks of orders 20 to 80 instead of
+# one of 720, about 0.03 s for this whole loop.
 for k in range(1, 7):
     cert = certified_rank(k)
     expected = comb(2 * k - 2, k - 1)
     print(f"{k:6d} | {factorial(k):5d} | {cert.rank:4d} | {expected:8d} | {cert.method}")
 print(f"degree 6: {cert.note}")
 
-# Degree 7 is a 5040 x 5040 matrix: exact elimination is out of desk range,
-# so the rank is certified by agreement across three independent ~30-bit
-# primes (each residue rank is a lower bound on the rational rank).  At each
-# prime the matrix splits into circulant Fourier blocks whose ranks add up.
+# Degree 7 is a 5040 x 5040 matrix.  By default its rank is certified by
+# agreement across three independent ~30-bit primes (each residue rank is a
+# lower bound on the rational rank).  At each prime the matrix splits into
+# 120 Fourier blocks of order 42 whose ranks add up, and only one block per
+# class of equal rank, 24 in all, is eliminated.
 cert7 = certified_rank(7, seed=0)
 print(f"{7:6d} | {5040:5d} | {cert7.rank:4d} | {comb(12, 6):8d} | {cert7.method}")
 print(f"primes used: {cert7.primes}")
-print(f"blocks per prime: {cert7.blocks.count} of order {cert7.blocks.order}")
+print(f"blocks per prime: {cert7.blocks.count} of order {cert7.blocks.order}, "
+      f"cycle types {' and '.join('+'.join(map(str, lam)) for lam in cert7.blocks.cycle_types)}")
+
+# The same split over the rationals keeps every block at most order 672, so
+# degree 7 also has a two-sided exact rank, in about 2 s.
+exact7 = certified_rank(7, method="exact")
+print(f"{7:6d} | {5040:5d} | {exact7.rank:4d} | {comb(12, 6):8d} | {exact7.method}")
 
 # The small matrices make nice bitmaps; 1-bits are drawn black.
 for k in (2, 3, 4):

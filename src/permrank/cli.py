@@ -99,8 +99,9 @@ def _cmd_rank(args) -> int:
         if cert.blocks:
             b = cert.blocks
             print(
-                f"blocks: {b.count} of order {b.order} per prime, from a cyclic subgroup "
-                f"of order {b.subgroup_order} (cycle type {_partition_label(b.cycle_type)})"
+                f"blocks: {b.count} of order {b.order} per prime, from the subgroup <a> x <b> "
+                f"of order {b.subgroup_order} (cycle types "
+                f"{' and '.join(map(_partition_label, b.cycle_types))})"
             )
         print(f"note: {cert.note}")
     return 0 if cert.rank == expected else 1
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-heavy",
         action="store_true",
-        help="permit degree 8 (about 22 s for one prime, 58 s for three, 0.46 GB on 2 cores)",
+        help="permit degree 8 (about 1.5 s for one prime, 3 s for three, 0.26 GB on 2 cores)",
     )
     p.set_defaults(func=_cmd_rank)
 

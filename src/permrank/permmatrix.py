@@ -22,39 +22,56 @@ subgroup H fixing the first two points and each run of s columns is a coset
 c . H, so M[pi, c . h] = M[pi . c, h]: coset c of row pi is row pi . c of the
 slab M[:, :s], made from the multiplication table of H.
 
-The modular certificate never eliminates the full matrix.  Its entry
-depends only on the conjugacy class of sigma . pi, so it is unchanged when
-pi is replaced by pi . a and sigma by a^-1 . sigma, for a fixed permutation
-``a`` of order m.  Grouping rows into orbits {pi . a^u} and columns into
-orbits {a^-v . sigma} therefore makes every (row orbit, column orbit) pair
-an m x m circulant.  For a prime p = 1 (mod m), the discrete Fourier
-transform with the m-th roots of unity mod p diagonalises every circulant
-at once; it is an invertible change of basis over the field with p
-elements, so it splits the matrix into m blocks of order n!/m whose ranks
-mod p add up to exactly the rank of the full matrix mod p.  The argument
-uses only that invariance, none of the character theory the ranks confirm.
+Neither certificate eliminates the full matrix.  Its entry depends only on
+the conjugacy class of sigma . pi, and that class is unchanged when pi is
+replaced by b^e . pi . a^d and sigma by a^-d . sigma . b^-e, for fixed
+permutations ``a`` of order m1 and ``b`` of order m2: sigma . pi becomes
+a^-d . sigma . pi . a^d.  So the group A = <a> x <b> (a subgroup of
+S_n x S_n, of order m1 m2) acts on rows and on columns and the matrix is
+invariant.  The action on rows is free exactly when b^e . pi . a^d = pi,
+that is b^e = pi . a^-d . pi^-1, forces a^d = b^e = 1: when no nontrivial
+power of ``a`` has the cycle type of a nontrivial power of ``b``.  The
+columns give the same rule.  Of the pairs of cycle types that obey it, the
+first with the largest m1 m2 is taken: 3 and 2+1 (m1 m2 = 6) at degree 3,
+6 and 3+2+1 (36) at degree 6, 5+2 and 4+3 (120) at degree 7, 8 and 5+3
+(120) at degree 8.  With rows and columns grouped into A-orbits,
+b^e . r_i . a^d and a^-d' . s_j . b^-e', entry ((d, e, i), (d', e', j)) is
+G[d - d', e - e', i, j] for the symbols G[d, e, i, j] = M[b^e . r_i . a^d,
+s_j]: every (row orbit, column orbit) pair is a group matrix over
+Z_m1 x Z_m2, an m1 x m1 circulant of m2 x m2 circulants.
 
-Only one Fourier block per divisor of m is eliminated.  For u prime to m,
-the permutation b that maps c_i to c_(u i mod l) on each cycle
-(c_0 ... c_(l-1)) of ``a`` satisfies b . a . b^-1 = a^u.  Conjugating by b
-permutes the row orbits and the column orbits, so with b . r_i . b^-1 =
-r_i' . a^(e_i) and b . s_j . b^-1 = a^(f_j) . s_j' the symbols satisfy
-G[d, i, j] = G[e_i + f_j + u d, i', j'], hence
-B_t[i, j] = w^((e_i + f_j) u^-1 t) B_(u^-1 t)[i', j']: the two blocks differ
-by row and column permutations and diagonal scalings, and have the same
-rank mod p.  So the m blocks fall into tau(m) power-map classes
-{t : gcd(t, m) = g}, one per divisor g of m and of size phi(m/g), and one
-block per class is eliminated: 6 of 12 at degree 7, 4 of 15 at degree 8.
-Again only the invariance under conjugacy is used.
+For a prime p = 1 (mod lcm(m1, m2)), the characters of Z_m1 x Z_m2 take
+values in the field with p elements, and the transform by them
+diagonalises every such group matrix at once; it is an invertible change
+of basis mod p, so it splits the matrix into m1 m2 blocks
+B_(t1, t2) = sum_(d, e) w1^(d t1) w2^(e t2) G[d, e] of order n!/(m1 m2)
+whose ranks mod p add up to exactly the rank of the full matrix mod p.
+The argument uses only that invariance, none of the character theory the
+ranks confirm.
 
-The exact certificate splits the same circulant structure over the
-rationals instead.  The m x m cyclic shift is similar over Q to the direct
-sum of the companion matrices of the cyclotomic polynomials Phi_d, d | m,
-so the matrix is equivalent to one integer block of order (n!/m) * phi(d)
-per divisor d, and its rational rank is the sum of their exact ranks.  At
-degree 6 (m = 6) that is blocks of order 120, 120, 240 and 240 instead of
-one of order 720, all four proved by the kernel check: about 0.13 s for
-degrees 1..6 on a 2-core x86-64 host (1.7 s with Bareiss on every block).
+Only one Fourier block per pair of power-map classes is eliminated.  For u
+prime to m1, the permutation c that maps c_i to c_(u i mod l) on each
+cycle (c_0 ... c_(l-1)) of ``a`` satisfies c . a . c^-1 = a^u; likewise
+c' . b . c'^-1 = b^v for v prime to m2.  The map pi -> c' . pi . c^-1,
+sigma -> c . sigma . c'^-1 conjugates sigma . pi, and it sends the orbit
+element b^e . pi . a^d to b^(v e) . (c' . pi . c^-1) . a^(u d).  So it
+permutes the row orbits and the column orbits and scales the group
+indices, and B_(t1, t2) equals B_(u^-1 t1, v^-1 t2) up to row and column
+permutations and diagonal scalings: the two have the same rank mod p.  The
+rank of a block thus depends only on (gcd(t1, m1), gcd(t2, m2)), and one
+block per pair of classes is eliminated: 24 blocks of order 42 at
+degree 7, 16 of order 336 at degree 8.  Again only the invariance under
+conjugacy is used.
+
+The exact certificate splits the same group matrix over the rationals
+instead.  Each cyclic shift, of order m = m1 or m = m2, is similar over Q
+to the direct sum of the companion matrices of the cyclotomic polynomials
+Phi_d, d | m, so the matrix is equivalent to one integer block of order
+(n!/(m1 m2)) * phi(d1) * phi(d2) per pair of divisors d1 | m1, d2 | m2,
+and its rational rank is the sum of their exact ranks.  At degree 6 that
+is 16 blocks of orders 20 to 80 instead of one of order 720, and at
+degree 7 24 blocks of orders 42 to 672, all proved by the kernel check:
+about 0.03 s for degrees 1..6 and 2 s for degree 7 on a 2-core x86-64 host.
 rank_exact itself stays unblocked, an independent check of these ranks.
 """
 
@@ -74,7 +91,7 @@ from . import group_algebra, perms, young
 # perfbench/child.py reads both names to record the elimination kernel and integer type.
 numba, mpz = None, int
 
-#: Order cap for exact elimination; beyond it use the modular path.
+#: Order cap for one exact elimination (rank_exact, or the largest block of the exact certificate).
 MAX_EXACT_ORDER = 1000
 
 #: Degrees above this need allow_heavy=True for rank computation.
@@ -293,38 +310,79 @@ def rank_mod_prime(m, p: int) -> int:
 
 # --- symmetry-blocked rank mod p ---
 
-def _max_order_cycle_type(n: int) -> tuple[int, ...]:
-    """Cycle type of an element of largest order in S_n (the first such partition)."""
-    return max(young.partitions(n), key=lambda lam: lcm(*lam))
+def _power_cycle_types(cycle_type) -> set[tuple[int, ...]]:
+    """Cycle types of the nontrivial powers a^d of a permutation ``a`` of this cycle type.
+
+    An l-cycle of ``a`` falls into gcd(l, d) cycles of length l / gcd(l, d) in a^d.
+    """
+    return {
+        tuple(sorted((l // gcd(l, d) for l in cycle_type for _ in range(gcd(l, d))), reverse=True))
+        for d in range(1, lcm(*cycle_type))
+    }
 
 
-def _circulant_symbols(matrix: BinaryMatrix, cycle_type) -> np.ndarray:
-    """Symbols ``G[d, i, j] = M[r_i . a^d, s_j]`` of the circulant blocks of M.
+def _cycle_type_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cycle types of a and b for which <a> x <b> acts freely on S_n and has the largest order.
 
-    ``a`` has the given cycle type and order m; r_i and s_j are the
-    least-ranked members of the row orbits {pi . a^u} and the column orbits
-    {a^v . sigma}, each of size m.  Valid for a matrix of degree n whose
-    entry (pi, sigma) depends only on the conjugacy class of sigma . pi.
-    The bits are gathered from the packed rows; no dense copy is made.
+    b^e . pi . a^d = pi means b^e = pi . a^-d . pi^-1, so the action is free
+    exactly when no nontrivial power of ``a`` has the cycle type of a
+    nontrivial power of ``b``.  Among such pairs the first, in the order of
+    young.partitions, with the largest product of the two orders.
+    """
+    powers = {lam: _power_cycle_types(lam) for lam in young.partitions(n)}
+    free = [(lam, mu) for lam in powers for mu in powers if not powers[lam] & powers[mu]]
+    return max(free, key=lambda pair: lcm(*pair[0]) * lcm(*pair[1]))
+
+
+def _orbit_minima(inner: np.ndarray, m_inner: int, outer: np.ndarray, m_outer: int) -> np.ndarray:
+    """Ranks that are least in their orbit under the commuting rank maps ``inner`` and ``outer``.
+
+    One power of ``outer`` at a time, so no (m_inner, m_outer, n!) table is made.
+    """
+    everyone = np.arange(len(inner))
+    x, low = everyone, everyone.copy()
+    for _ in range(m_outer):
+        y = x
+        for _ in range(m_inner):
+            np.minimum(low, y, out=low)
+            y = inner[y]
+        x = outer[x]
+    return np.flatnonzero(low == everyone)
+
+
+def _group_symbols(matrix: BinaryMatrix, cycle_types) -> np.ndarray:
+    """Symbols ``G[d, e, i, j] = M[b^e . r_i . a^d, s_j]`` of the group-matrix form of M.
+
+    ``a`` and ``b`` have the given cycle types and orders m1 and m2, and
+    <a> x <b> acts freely (see _cycle_type_pair); r_i and s_j are the
+    least-ranked members of the row orbits {b^e . pi . a^d} and the column
+    orbits {a^d . sigma . b^e}, each of size m1 m2.  Valid for a matrix of
+    degree n whose entry (pi, sigma) depends only on the conjugacy class of
+    sigma . pi.  The bits are gathered from the packed rows; no dense copy
+    is made.
     """
     n = matrix.degree
     perm_arr = perms.perm_array(n)
     # 1-based cycles on consecutive points, e.g. (1 2 3 4)(5 6 7) for 4+3
-    cycles = [tuple(range(e - c + 1, e + 1)) for e, c in zip(accumulate(cycle_type), cycle_type)]
-    a = np.array(perms.from_cycles(n, *cycles))
-    m = lcm(*cycle_type)
-    a_pow = np.empty((m, n), dtype=np.int8)
-    a_pow[0] = np.arange(n)
-    for d in range(1, m):
-        a_pow[d] = a_pow[d - 1][a]
-    # right[d, pi] is the rank of pi . a^d, left[v, sigma] that of a^v . sigma
-    right = perms.perm_ranks(perm_arr[:, a_pow]).T
-    left = perms.perm_ranks(a_pow[:, perm_arr])
-    everyone = np.arange(perm_arr.shape[0])
-    rows = right[:, right.min(axis=0) == everyone]
-    cols = np.flatnonzero(left.min(axis=0) == everyone)
+    a, b = (
+        np.array(perms.from_cycles(n, *(tuple(range(e - c + 1, e + 1))
+                                        for e, c in zip(accumulate(lam), lam))))
+        for lam in cycle_types
+    )
+    m1, m2 = (lcm(*lam) for lam in cycle_types)
+    # rank maps of one step: pi -> pi . a and pi -> b . pi on rows,
+    # sigma -> a . sigma and sigma -> sigma . b on columns
+    right_a, left_b = perms.perm_ranks(perm_arr[:, a]), perms.perm_ranks(b[perm_arr])
+    left_a, right_b = perms.perm_ranks(a[perm_arr]), perms.perm_ranks(perm_arr[:, b])
+    cols = _orbit_minima(left_a, m1, right_b, m2)
+    rows = np.empty((m1, m2, len(cols)), dtype=np.int64)
+    rows[0, 0] = _orbit_minima(right_a, m1, left_b, m2)
+    for d in range(1, m1):
+        rows[d, 0] = right_a[rows[d - 1, 0]]
+    for e in range(1, m2):
+        rows[:, e] = left_b[rows[:, e - 1]]
     shift = (7 - (cols & 7)).astype(np.uint8)
-    return (matrix.packed[rows[:, :, None], cols >> 3] >> shift) & 1
+    return (matrix.packed[rows[..., None], cols >> 3] >> shift) & 1
 
 
 def _fourier_classes(m: int) -> Counter[int]:
@@ -336,27 +394,34 @@ def _fourier_classes(m: int) -> Counter[int]:
 
 
 def _blocked_rank(symbols: np.ndarray, p: int) -> int:
-    """Rank mod ``p`` of the matrix whose circulant block symbols are ``symbols``.
+    """Rank mod ``p`` of the group matrix over Z_m1 x Z_m2 whose symbols are ``symbols``.
 
-    Over the field with p elements, p = 1 (mod m), invertible row and column
-    operations take the matrix to the direct sum of the m blocks
-    ``B_t = sum_d w^(-d t) G[d]`` for a primitive m-th root of unity w, so
-    its rank is the sum of theirs.  B_t and B_(u t) have the same rank for
-    every u prime to m (see the module docstring), so one block per class
-    of _fourier_classes is built and eliminated, B_g, or B_0 for g = m, and
-    its rank counts once per member of the class.
+    Over the field with p elements, p = 1 (mod lcm(m1, m2)), invertible row
+    and column operations take the matrix to the direct sum of the m1 m2
+    blocks ``B_(t1, t2) = sum_(d, e) w1^(d t1) w2^(e t2) G[d, e]`` for
+    primitive m1-th and m2-th roots of unity w1 and w2, so its rank is the
+    sum of theirs.  The rank of B_(t1, t2) depends only on
+    (gcd(t1, m1), gcd(t2, m2)) (see the module docstring), so one block per
+    pair of classes of _fourier_classes is built and eliminated, B_(g1, g2),
+    and its rank counts once per member of the pair.
     """
-    m = symbols.shape[0]
-    w = _root_of_unity(m, p)
-    weights = np.array([pow(w, e, p) for e in range(m)], dtype=np.int64)
-    total = 0
-    for g, size in _fourier_classes(m).items():
-        # entries stay below m * p < 2**35, so the sum cannot overflow
-        block = np.zeros(symbols.shape[1:], dtype=np.int64)
-        for d in range(m):
-            block += weights[-d * g % m] * symbols[d]
-        total += size * rank_mod_prime(block, p)
-    return total
+    m1, m2, order = symbols.shape[:3]
+    w1, w2 = _root_of_unity(m1, p), _root_of_unity(m2, p)
+    classes = [
+        (g1, g2, size1 * size2)
+        for g1, size1 in _fourier_classes(m1).items()
+        for g2, size2 in _fourier_classes(m2).items()
+    ]
+    weights = np.array([
+        [[pow(w1, d * g1, p) * pow(w2, e * g2, p) % p for e in range(m2)] for d in range(m1)]
+        for g1, g2, _ in classes
+    ], dtype=np.int64)
+    # entries stay below m1 * m2 * p < 2**38, so the sums cannot overflow
+    blocks = np.zeros((len(classes), order, order), dtype=np.int64)
+    for d in range(m1):
+        for e in range(m2):
+            blocks += weights[:, d, e, None, None] * symbols[d, e]
+    return sum(size * rank_mod_prime(block, p) for (_, _, size), block in zip(classes, blocks))
 
 
 # --- symmetry-blocked rank over the rationals ---
@@ -384,19 +449,9 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _cyclotomic_blocks(symbols: np.ndarray) -> list[np.ndarray]:
-    """Integer blocks whose ranks over Q add up to that of the matrix with these symbols.
-
-    Up to a permutation of rows and columns the matrix is
-    ``sum_j kron(G[j], P^j)`` for the m x m cyclic shift P, the companion
-    matrix of x^m - 1.  Its factors Phi_d (d | m) are coprime, so over Q the
-    shift is similar to the direct sum of the companion matrices C_d of the
-    Phi_d, and the matrix is equivalent to the direct sum of the blocks
-    ``sum_j kron(G[j], C_d^j)``, of order (n!/m) * phi(d), one per divisor d.
-    """
-    m, b = symbols.shape[:2]
-    g = symbols.astype(np.int64)
-    blocks = []
+def _companion_powers(m: int) -> list[np.ndarray]:
+    """[C_d^0, ..., C_d^(m-1)] for each divisor d of m, C_d the companion matrix of Phi_d."""
+    out = []
     for d in range(1, m + 1):
         if m % d:
             continue
@@ -407,7 +462,32 @@ def _cyclotomic_blocks(symbols: np.ndarray) -> list[np.ndarray]:
         powers = [np.eye(k, dtype=np.int64)]
         for _ in range(1, m):
             powers.append(powers[-1] @ companion)
-        blocks.append(np.einsum("jab,jcd->acbd", g, np.array(powers)).reshape(b * k, b * k))
+        out.append(np.array(powers))
+    return out
+
+
+def _cyclotomic_blocks(symbols: np.ndarray) -> list[np.ndarray]:
+    """Integer blocks whose ranks over Q add up to that of the matrix with these symbols.
+
+    Up to a permutation of rows and columns the matrix is
+    ``sum_(d, e) kron(G[d, e], P1^d (x) P2^e)`` for the m1 x m1 and m2 x m2
+    cyclic shifts P1 and P2, the companion matrices of x^m1 - 1 and
+    x^m2 - 1.  Their factors Phi_d1 (d1 | m1) are coprime, so over Q the
+    shift P1 is similar to the direct sum of the companion matrices C_d1,
+    and likewise P2, and the matrix is equivalent to the direct sum of the
+    blocks ``sum_(d, e) kron(G[d, e], C_d1^d (x) C_d2^e)``, of order
+    (n!/(m1 m2)) * phi(d1) * phi(d2), one per pair of divisors.
+    """
+    m1, m2, order = symbols.shape[:3]
+    g = symbols.astype(np.int64)
+    blocks = []
+    second = _companion_powers(m2)
+    for c1 in _companion_powers(m1):
+        for c2 in second:
+            k = c1.shape[1] * c2.shape[1]
+            shifts = np.einsum("dab,ecf->deacbf", c1, c2).reshape(m1, m2, k, k)
+            block = np.tensordot(g, shifts, axes=([0, 1], [0, 1])).transpose(0, 2, 1, 3)
+            blocks.append(block.reshape(order * k, order * k))
     return blocks
 
 
@@ -514,11 +594,12 @@ class PrimeDisagreement(RuntimeError):
 class BlockStructure:
     """How the modular path split the matrix: ``count`` blocks of order ``order``.
 
-    The blocks come from the cyclic subgroup of order ``subgroup_order``
-    generated by a permutation of cycle type ``cycle_type``.
+    The blocks come from the subgroup <a> x <b> of S_n x S_n, of order
+    ``subgroup_order``, generated by permutations a and b of the two
+    ``cycle_types``.
     """
 
-    cycle_type: tuple[int, ...]
+    cycle_types: tuple[tuple[int, ...], tuple[int, ...]]
     subgroup_order: int
     count: int
     order: int
@@ -550,26 +631,39 @@ def certified_rank(
     every sampled prime the only failure mode.  Degree 8 (order 40320) is
     gated behind ``allow_heavy``.
 
-    The modular path takes an element ``a`` of largest order m in S_n and
-    samples primes p = 1 (mod m).  Invariance of the matrix under
-    (pi, sigma) -> (pi . a, a^-1 . sigma) makes it a matrix of m x m
-    circulant blocks, and a discrete Fourier transform over the field with
-    p elements turns it into m blocks of order n!/m.  That transform is
-    invertible mod p, so the sum of the block ranks is exactly the rank of
-    the full matrix mod p.  Since ``a`` is conjugate to a^u for every u
-    prime to m, blocks t and u t have the same rank, so the m blocks fall
-    into tau(m) power-map classes, one per divisor of m, and each prime
-    costs one elimination of order n!/m per class instead of one of order
-    n! (at degree 7: 6 eliminations of order 420 for the 12 blocks).
+    Both paths split the matrix by the subgroup A = <a> x <b> of
+    S_n x S_n, acting on rows by pi -> b^e . pi . a^d and on columns by
+    sigma -> a^-d . sigma . b^-e.  That changes sigma . pi only by
+    conjugation, so the entry is unchanged.  A acts freely on both sides
+    exactly when no nontrivial power of ``a`` has the cycle type of a
+    nontrivial power of ``b``; the pair of cycle types of largest
+    m1 m2 = |A| under that rule is taken (at degree 7, 5+2 and 4+3, so
+    m1 m2 = 10 * 12 = 120).  Grouped into A-orbits of size m1 m2 the
+    matrix is a group matrix over Z_m1 x Z_m2.
 
-    The exact path uses the same element and symbols over the rationals.
-    There the cyclic shift of order m is similar to the direct sum of the
-    companion matrices C_d of the cyclotomic polynomials Phi_d (d | m), so
-    the rational rank is the sum of the exact ranks of the integer blocks
-    ``sum_j kron(G[j], C_d^j)``, of order (n!/m) * phi(d): 120, 120, 240 and
-    240 at degree 6, each found as rank_exact finds it.  The note records
-    the cycle type, the block orders and, block by block, whether the kernel
-    check or the Bareiss fallback proved the rank.
+    The modular path samples primes p = 1 (mod lcm(m1, m2)).  The
+    characters of Z_m1 x Z_m2 exist mod p and their transform, invertible
+    over the field with p elements, turns the matrix into m1 m2 blocks of
+    order n!/(m1 m2), so the sum of the block ranks is exactly the rank of
+    the full matrix mod p.  Since ``a`` is conjugate to a^u for every u
+    prime to m1, and ``b`` to b^v for every v prime to m2, block (t1, t2)
+    has the rank of block (u t1, v t2), so the blocks fall into
+    tau(m1) tau(m2) classes, and each prime costs one elimination of order
+    n!/(m1 m2) per class instead of one of order n! (at degree 7: 24
+    eliminations of order 42 for the 120 blocks).
+
+    The exact path uses the same pair and symbols over the rationals.
+    There the cyclic shifts of orders m1 and m2 are similar to the direct
+    sums of the companion matrices C_d of the cyclotomic polynomials Phi_d,
+    so the rational rank is the sum of the exact ranks of the integer blocks
+    ``sum_(d, e) kron(G[d, e], C_d1^d (x) C_d2^e)``, of order
+    (n!/(m1 m2)) * phi(d1) * phi(d2), one per pair of divisors d1 | m1,
+    d2 | m2, each found as rank_exact finds it.  The cap MAX_EXACT_ORDER
+    applies to the largest block, so degree 7 (largest block 42 * 4 * 4 =
+    672) has an exact rank too; ``auto`` still picks the exact path only up
+    to n! = MAX_EXACT_ORDER.  The note records the cycle types, the block
+    orders and, block by block, whether the kernel check or the Bareiss
+    fallback proved the rank.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -583,16 +677,22 @@ def certified_rank(
         raise ValueError(
             f"rank at degree {n} (order {factorial(n)}) needs allow_heavy=True; "
             # measured on a 2-core x86-64 host
-            "expect 4 eliminations of order 2688 per prime, 22 s for one prime and 58 s "
-            "for the default three, with 0.46 GB peak memory"
+            "expect 16 eliminations of order 336 per prime, 1.5 s for one prime and 3 s "
+            "for the default three, with 0.26 GB peak memory"
         )
-    if method == "exact" and factorial(n) > MAX_EXACT_ORDER:
-        raise ValueError(
-            f"order {factorial(n)} exceeds exact-elimination cap {MAX_EXACT_ORDER}; "
-            "use the modular certification path"
-        )
-    cycle_type = _max_order_cycle_type(n)
-    symbols = _circulant_symbols(cycle_product_matrix(n), cycle_type)
+    cycle_types = _cycle_type_pair(n)
+    m1, m2 = (lcm(*lam) for lam in cycle_types)
+    block_order = factorial(n) // (m1 * m2)
+    if method == "exact":
+        # phi(d) divides phi(m) for d | m, so the block for (m1, m2) is the largest
+        largest = block_order * (len(_cyclotomic(m1)) - 1) * (len(_cyclotomic(m2)) - 1)
+        if largest > MAX_EXACT_ORDER:
+            raise ValueError(
+                f"largest block order {largest} exceeds exact-elimination cap "
+                f"{MAX_EXACT_ORDER}; use the modular certification path"
+            )
+    symbols = _group_symbols(cycle_product_matrix(n), cycle_types)
+    types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
     if method == "exact":
         blocks = _cyclotomic_blocks(symbols)
         results = [_rank_over_q(block) for block in blocks]
@@ -603,37 +703,38 @@ def certified_rank(
             note=(
                 f"rank over the rationals of {len(blocks)} cyclotomic blocks of orders "
                 f"{', '.join(str(len(block)) for block in blocks)} "
-                f"(cycle type {'+'.join(map(str, cycle_type))}), certified in turn by "
+                f"(cycle types {types_label}), certified in turn by "
                 + ", ".join(f"kernel check mod {p}" if p else "Bareiss fallback"
                             for _, p in results)
             ),
             degree=n,
         )
-    m, block_order = symbols.shape[:2]
     rng = random.Random(seed)
     sampled: dict[int, int] = {}
     while len(sampled) < num_primes:
-        p = random_prime(rng, m)
+        p = random_prime(rng, lcm(m1, m2))
         if p in sampled:
             continue
         sampled[p] = _blocked_rank(symbols, p)
     ranks = set(sampled.values())
     if len(ranks) != 1:
         raise PrimeDisagreement(sampled)
+    classes = len(_fourier_classes(m1)) * len(_fourier_classes(m2))
     return RankCertificate(
         rank=ranks.pop(),
         method="modular-multiprime",
         primes=tuple(sorted(sampled)),
         note=(
             "residue rank is a lower bound on the rational rank; at each prime "
-            f"it is the sum of the ranks of {m} Fourier blocks of order {block_order}, "
-            f"which equals the full residue rank; the blocks fall into "
-            f"{len(_fourier_classes(m))} classes of equal rank under t -> u*t (u prime "
-            f"to {m}), and one block per class was eliminated; "
-            f"{num_primes} independent primes agree"
+            f"it is the sum of the ranks of {m1 * m2} Fourier blocks of order {block_order} "
+            f"(cycle types {types_label}), which equals the full residue rank; the blocks "
+            f"fall into {classes} classes of equal rank under (t1, t2) -> (u*t1, v*t2) "
+            f"(u prime to {m1}, v prime to {m2}), and one block per class was eliminated; "
+            + ("one prime sampled" if num_primes == 1
+               else f"{num_primes} independent primes agree")
         ),
         degree=n,
-        blocks=BlockStructure(cycle_type, m, m, block_order),
+        blocks=BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order),
     )
 
 

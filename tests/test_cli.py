@@ -189,7 +189,13 @@ def test_rank_json_reports_blocks(capsys):
     )
     assert code == 0
     blocks = json.loads(out)["blocks"]
-    assert blocks == {"cycle_type": [4], "subgroup_order": 4, "count": 4, "order": 6}
+    assert blocks == {"cycle_types": [[4], [3, 1]], "subgroup_order": 12, "count": 12, "order": 2}
+    code, out, _ = run_cli(capsys, "rank", "--k", "4", "--method", "modp", "--primes", "1")
+    assert code == 0
+    assert (
+        "blocks: 12 of order 2 per prime, from the subgroup <a> x <b> of order 12 "
+        "(cycle types 4 and 3+1)"
+    ) in out.splitlines()
     code, out, _ = run_cli(capsys, "rank", "--k", "4", "--json")
     assert json.loads(out)["blocks"] is None
 
@@ -287,8 +293,8 @@ def test_rank_json_reports_how_blocks_were_certified(capsys):
     code, out, _ = run_cli(capsys, "rank", "--k", "5", "--json")
     assert code == 0
     note = json.loads(out)["note"]
-    assert "orders 20, 20, 40, 40" in note
-    assert note.count(f"kernel check mod {permmatrix._CHECK_PRIME}") == 4
+    assert "orders 4, 4, 8, 8, 16, 16, 32, 32" in note
+    assert note.count(f"kernel check mod {permmatrix._CHECK_PRIME}") == 8
     code, out, _ = run_cli(capsys, "rank", "--k", "5")
     assert code == 0
     assert f"note: {note}" in out.splitlines()

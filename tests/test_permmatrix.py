@@ -149,7 +149,7 @@ def test_ranks_match_perm_rank(n):
 
 
 def test_ranks_on_stacked_input():
-    # the (group, powers, n) shape _circulant_symbols ranks: pi . a^d
+    # a (group, powers, n) stack of products pi . a^d
     n = 5
     a = perms.from_cycles(n, (1, 2, 3), (4, 5))
     a_pow = np.array([_power(a, d) for d in range(6)], dtype=np.int8)
@@ -377,21 +377,61 @@ def test_certified_rank_rejects_too_few_primes(num_primes):
 def test_certified_rank_records_block_structure():
     cert = permmatrix.certified_rank(5, method="modp", num_primes=2, seed=7)
     assert cert.rank == 70
-    assert cert.blocks == permmatrix.BlockStructure((3, 2), 6, 6, 20)
+    assert cert.blocks == permmatrix.BlockStructure(((5,), (3, 2)), 30, 30, 4)
     assert "sum of the ranks" in cert.note
-    assert all(p % 6 == 1 for p in cert.primes)
+    assert all(p % 30 == 1 for p in cert.primes)
     assert permmatrix.certified_rank(4).blocks is None
+
+
+def test_certified_rank_note_counts_the_primes():
+    one = permmatrix.certified_rank(5, method="modp", num_primes=1, seed=1).note
+    assert one.endswith("one prime sampled")
+    assert "independent primes" not in one
+    three = permmatrix.certified_rank(5, method="modp", num_primes=3, seed=1).note
+    assert three.endswith("3 independent primes agree")
+    assert "one prime" not in three
+
+
+def _power(a, d):
+    out = perms.identity(len(a))
+    for _ in range(d):
+        out = perms.compose(out, a)
+    return out
+
+
+def _consecutive_cycles(n, cycle_type):
+    firsts = [sum(cycle_type[:i]) + 1 for i in range(len(cycle_type))]
+    return perms.from_cycles(n, *(tuple(range(f, f + c)) for f, c in zip(firsts, cycle_type)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_max_order_cycle_type(n):
-    cycle_type = permmatrix._max_order_cycle_type(n)
-    assert sum(cycle_type) == n
-    if n <= 6:
-        orders = {lcm(*perms.cycle_type(g)) for g in perms.all_perms(n)}
-        assert lcm(*cycle_type) == max(orders)
-    else:
-        assert cycle_type == {7: (4, 3), 8: (5, 3)}[n]
+    # the pair of cycle types whose free subgroup <a> x <b> has the largest order
+    lam, mu = permmatrix._cycle_type_pair(n)
+    assert (lam, mu) == {
+        1: ((1,), (1,)), 2: ((2,), (1, 1)), 3: ((3,), (2, 1)), 4: ((4,), (3, 1)),
+        5: ((5,), (3, 2)), 6: ((6,), (3, 2, 1)), 7: ((5, 2), (4, 3)), 8: ((8,), (5, 3)),
+    }[n]
+    if n > 6:
+        return
+    # the freeness rule from perms loops: cycle types of the actual powers
+    nontrivial_powers = {}
+    for nu in young.partitions(n):
+        a = _consecutive_cycles(n, nu)
+        nontrivial_powers[nu] = {perms.cycle_type(_power(a, d)) for d in range(1, lcm(*nu))}
+        assert nontrivial_powers[nu] == permmatrix._power_cycle_types(nu)
+    best = lcm(*lam) * lcm(*mu)
+    for nu in nontrivial_powers:
+        for rho in nontrivial_powers:
+            if not nontrivial_powers[nu] & nontrivial_powers[rho]:
+                assert lcm(*nu) * lcm(*rho) <= best
+    # and the chosen pair acts freely on both sides: only the identity fixes a point
+    a, b = (_consecutive_cycles(n, nu) for nu in (lam, mu))
+    pairs = [(_power(a, d), _power(b, e)) for d in range(lcm(*lam)) for e in range(lcm(*mu))]
+    for g in perms.all_perms(n):
+        row_fixers = [x for x in pairs if perms.compose(x[1], perms.compose(g, x[0])) == g]
+        col_fixers = [x for x in pairs if perms.compose(x[0], perms.compose(g, x[1])) == g]
+        assert len(row_fixers) == len(col_fixers) == 1
 
 
 @pytest.mark.parametrize("modulus", [1, 2, 6, 12, 15])
@@ -413,53 +453,62 @@ def _class_indicator_matrix(n, cycle_types):
     return permmatrix.BinaryMatrix.from_dense(np.array(dense, dtype=np.uint8), n)
 
 
-def _power(a, d):
-    out = perms.identity(len(a))
-    for _ in range(d):
-        out = perms.compose(out, a)
-    return out
+def _symbols(mat):
+    return permmatrix._group_symbols(mat, permmatrix._cycle_type_pair(mat.degree))
+
+
+def _sampled_prime(n):
+    lam, mu = permmatrix._cycle_type_pair(n)
+    return permmatrix.random_prime(random.Random(n), lcm(lcm(*lam), lcm(*mu)))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_cycle_matrix_blocks_are_circulant(n):
     # checks the invariance the blocked rank rests on, with perms loops as
-    # the reference for the vectorised orbits and the gathered symbols
-    mat = permmatrix.cycle_product_matrix(n)
-    dense = mat.to_dense()
-    cycle_type = permmatrix._max_order_cycle_type(n)
-    m = lcm(*cycle_type)
-    firsts = [sum(cycle_type[:i]) + 1 for i in range(len(cycle_type))]
-    a = perms.from_cycles(n, *(tuple(range(f, f + c)) for f, c in zip(firsts, cycle_type)))
-    a_pow = [_power(a, d) for d in range(m)]
+    # the reference for the vectorised orbits and the gathered symbols: the
+    # matrix is a group matrix over Z_m1 x Z_m2, an m1 x m1 circulant of
+    # m2 x m2 circulants, on every (row orbit, column orbit) pair
+    dense = permmatrix.cycle_product_matrix(n).to_dense()
+    lam, mu = permmatrix._cycle_type_pair(n)
+    m1, m2 = lcm(*lam), lcm(*mu)
+    a, b = _consecutive_cycles(n, lam), _consecutive_cycles(n, mu)
+    a_pow = [_power(a, d) for d in range(m1)]
+    b_pow = [_power(b, e) for e in range(m2)]
+
+    def row(d, e, pi):  # b^e . pi . a^d
+        return perms.perm_rank(perms.compose(b_pow[e % m2], perms.compose(pi, a_pow[d % m1])))
+
+    def col(d, e, sigma):  # a^-d . sigma . b^-e
+        return perms.perm_rank(
+            perms.compose(a_pow[-d % m1], perms.compose(sigma, b_pow[-e % m2])))
+
     group = perms.all_perms(n)
-    row_reps = sorted(min(perms.perm_rank(perms.compose(g, x)) for x in a_pow) for g in group)
-    col_reps = sorted(min(perms.perm_rank(perms.compose(x, g)) for x in a_pow) for g in group)
-    row_reps, col_reps = sorted(set(row_reps)), sorted(set(col_reps))
-    assert len(row_reps) == len(col_reps) == factorial(n) // m
-    symbols = permmatrix._circulant_symbols(mat, cycle_type)
+    grid = [(d, e) for d in range(m1) for e in range(m2)]
+    row_reps = sorted({min(row(d, e, g) for d, e in grid) for g in group})
+    col_reps = sorted({min(col(d, e, g) for d, e in grid) for g in group})
+    assert len(row_reps) == len(col_reps) == factorial(n) // (m1 * m2)
+    symbols = _symbols(permmatrix.cycle_product_matrix(n))
+    assert symbols.shape == (m1, m2, len(row_reps), len(col_reps))
     for i, r in enumerate(row_reps):
         pi = perms.perm_unrank(n, r)
         for j, s in enumerate(col_reps):
             sigma = perms.perm_unrank(n, s)
-            block = np.array([
-                [dense[perms.perm_rank(perms.compose(pi, a_pow[u])),
-                       perms.perm_rank(perms.compose(a_pow[-v % m], sigma))] for v in range(m)]
-                for u in range(m)
-            ])
-            assert (block == np.roll(np.roll(block, 1, axis=0), 1, axis=1)).all()
-            assert (block[:, 0] == symbols[:, i, j]).all()
+            for d, e in grid:
+                for d2, e2 in grid:
+                    entry = dense[row(d, e, pi), col(d2, e2, sigma)]
+                    assert entry == symbols[(d - d2) % m1, (e - e2) % m2, i, j]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_blocked_rank_equals_full_rank_at_same_prime(n):
     mat = permmatrix.cycle_product_matrix(n)
-    cycle_type = permmatrix._max_order_cycle_type(n)
-    m = lcm(*cycle_type)
-    symbols = permmatrix._circulant_symbols(mat, cycle_type)
-    assert symbols.shape == (m, factorial(n) // m, factorial(n) // m)
+    lam, mu = permmatrix._cycle_type_pair(n)
+    m1, m2 = lcm(*lam), lcm(*mu)
+    symbols = _symbols(mat)
+    assert symbols.shape == (m1, m2) + (factorial(n) // (m1 * m2),) * 2
     rng = random.Random(n)
     for _ in range(2):
-        p = permmatrix.random_prime(rng, m)
+        p = permmatrix.random_prime(rng, lcm(m1, m2))
         assert permmatrix._blocked_rank(symbols, p) == permmatrix.rank_mod_prime(mat, p)
 
 
@@ -467,54 +516,59 @@ def test_blocked_rank_equals_full_rank_at_same_prime(n):
 def test_blocked_rank_on_every_class_indicator(n):
     # other conjugacy classes give other ranks, so agreement is not a
     # coincidence of the cycle class
-    cycle_type = permmatrix._max_order_cycle_type(n)
-    m = lcm(*cycle_type)
-    p = permmatrix.random_prime(random.Random(n), m)
+    p = _sampled_prime(n)
     ranks = set()
     for lam in young.partitions(n):
         mat = _class_indicator_matrix(n, {lam})
         full = permmatrix.rank_mod_prime(mat, p)
-        assert permmatrix._blocked_rank(permmatrix._circulant_symbols(mat, cycle_type), p) == full
+        assert permmatrix._blocked_rank(_symbols(mat), p) == full
         ranks.add(full)
     assert len(ranks) > 2
 
 
 def _fourier_block_ranks(symbols, p):
-    """Rank mod p of each of the m Fourier blocks B_t = sum_d w^(-d t) G[d], t = 0..m-1."""
-    m = symbols.shape[0]
-    w = permmatrix._root_of_unity(m, p)
+    """Rank mod p of every Fourier block B_(t1, t2) = sum_(d, e) w1^(-d t1) w2^(-e t2) G[d, e]."""
+    m1, m2 = symbols.shape[:2]
+    w1, w2 = permmatrix._root_of_unity(m1, p), permmatrix._root_of_unity(m2, p)
     g = symbols.astype(np.int64)
-    return [permmatrix.rank_mod_prime(sum(pow(w, -d * t % m, p) * g[d] for d in range(m)), p)
-            for t in range(m)]
+    return {
+        (t1, t2): permmatrix.rank_mod_prime(
+            sum(pow(w1, -d * t1 % m1, p) * pow(w2, -e * t2 % m2, p) % p * g[d, e]
+                for d in range(m1) for e in range(m2)), p)
+        for t1 in range(m1) for t2 in range(m2)
+    }
 
 
 def _assert_rank_depends_only_on_gcd(symbols, p):
-    m = symbols.shape[0]
+    m1, m2 = symbols.shape[:2]
     ranks = _fourier_block_ranks(symbols, p)
-    assert all(ranks[t] == ranks[gcd(t, m) % m] for t in range(m))
-    assert permmatrix._blocked_rank(symbols, p) == sum(ranks)
+    assert all(r == ranks[gcd(t1, m1) % m1, gcd(t2, m2) % m2] for (t1, t2), r in ranks.items())
+    assert permmatrix._blocked_rank(symbols, p) == sum(ranks.values())
     return ranks
 
 
 @pytest.mark.parametrize("n", range(4, 8))
 def test_fourier_block_rank_depends_only_on_gcd(n):
-    # the equivalence of B_t and B_(u t) that lets _blocked_rank eliminate
-    # one block per class, checked on every block
-    cycle_type = permmatrix._max_order_cycle_type(n)
-    symbols = permmatrix._circulant_symbols(permmatrix.cycle_product_matrix(n), cycle_type)
-    p = permmatrix.random_prime(random.Random(n), lcm(*cycle_type))
-    ranks = _assert_rank_depends_only_on_gcd(symbols, p)
+    # the equivalence of B_(t1, t2) and B_(u t1, v t2) that lets _blocked_rank
+    # eliminate one block per pair of classes, checked on every block
+    ranks = _assert_rank_depends_only_on_gcd(_symbols(permmatrix.cycle_product_matrix(n)),
+                                             _sampled_prime(n))
     if n == 7:
-        assert ranks == [98, 70, 56, 112, 56, 70, 98, 70, 56, 112, 56, 70]
+        # one rank per pair (gcd(t1, 10), gcd(t2, 12)); they add up to 924
+        assert {(g1, g2): ranks[g1 % 10, g2 % 12]
+                for g1 in (10, 1, 2, 5) for g2 in (12, 1, 2, 3, 4, 6)} == {
+            (10, 12): 12, (10, 1): 7, (10, 2): 6, (10, 3): 12, (10, 4): 6, (10, 6): 10,
+            (1, 12): 9, (1, 1): 7, (1, 2): 6, (1, 3): 11, (1, 4): 5, (1, 6): 10,
+            (2, 12): 10, (2, 1): 7, (2, 2): 5, (2, 3): 11, (2, 4): 6, (2, 6): 9,
+            (5, 12): 10, (5, 1): 7, (5, 2): 6, (5, 3): 12, (5, 4): 6, (5, 6): 12,
+        }
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_fourier_block_rank_depends_only_on_gcd_for_every_class_indicator(n):
-    cycle_type = permmatrix._max_order_cycle_type(n)
-    p = permmatrix.random_prime(random.Random(n), lcm(*cycle_type))
+    p = _sampled_prime(n)
     for lam in young.partitions(n):
-        mat = _class_indicator_matrix(n, {lam})
-        _assert_rank_depends_only_on_gcd(permmatrix._circulant_symbols(mat, cycle_type), p)
+        _assert_rank_depends_only_on_gcd(_symbols(_class_indicator_matrix(n, {lam})), p)
 
 
 @pytest.mark.parametrize("m, classes", [(1, {1: 1}), (6, {6: 1, 1: 2, 2: 2, 3: 1}),
@@ -539,8 +593,7 @@ def test_cyclotomic_factors_multiply_to_x_m_minus_1(m):
 
 
 def _cyclotomic_rank(mat):
-    symbols = permmatrix._circulant_symbols(mat, permmatrix._max_order_cycle_type(mat.degree))
-    blocks = permmatrix._cyclotomic_blocks(symbols)
+    blocks = permmatrix._cyclotomic_blocks(_symbols(mat))
     assert sum(len(b) for b in blocks) == mat.order
     return sum(permmatrix.rank_exact(b) for b in blocks)
 
@@ -567,23 +620,35 @@ def test_certified_rank_exact_note_names_block_orders():
     assert cert.rank == 252
     assert cert.method == "exact-fraction-free"
     assert cert.blocks is None
-    assert "orders 120, 120, 240, 240" in cert.note
-    assert "cycle type 6" in cert.note
+    # 20 * phi(d1) * phi(d2) for d1, d2 | 6
+    assert "orders 20, 20, 40, 40, 20, 20, 40, 40, 40, 40, 80, 80, 40, 40, 80, 80" in cert.note
+    assert "cycle types 6 and 3+2+1" in cert.note
 
 
 def test_certified_rank_exact_note_names_how_each_block_was_certified(monkeypatch):
     note = permmatrix.certified_rank(6).note
-    assert note.count(f"kernel check mod {FIXED_PRIME}") == 4
+    assert note.count(f"kernel check mod {FIXED_PRIME}") == 16
     assert "Bareiss" not in note
     monkeypatch.setattr(permmatrix, "_rational_reconstruction", lambda u, p: None)
     cert = permmatrix.certified_rank(4)
     assert cert.rank == 20
-    assert cert.note.count("Bareiss fallback") == 3 and "kernel check" not in cert.note
+    assert cert.note.count("Bareiss fallback") == 6 and "kernel check" not in cert.note
+
+
+def test_certified_rank_exact_at_degree_seven():
+    # the largest block, 42 * phi(10) * phi(12) = 672, is under the cap
+    cert = permmatrix.certified_rank(7, method="exact")
+    assert cert.rank == 924
+    assert cert.method == "exact-fraction-free"
+    assert "cycle types 5+2 and 4+3" in cert.note
+    assert cert.note.count(f"kernel check mod {FIXED_PRIME}") == 24
+    assert "Bareiss" not in cert.note
 
 
 def test_certified_rank_exact_refused_above_cap():
+    # the largest degree-8 block, 336 * phi(8) * phi(15) = 10752, is over the cap
     with pytest.raises(ValueError, match="exact-elimination cap"):
-        permmatrix.certified_rank(7, method="exact")
+        permmatrix.certified_rank(8, method="exact", allow_heavy=True)
 
 
 def test_packbits_round_trip():
