@@ -30,7 +30,7 @@ print("-" * 60)
 # is proved exact by checking its kernel over the integers, with
 # fraction-free elimination as the fallback; the note says which proved
 # each block.  At degree 6 that is 16 blocks of orders 20 to 80 instead of
-# one of 720, about 0.03 s for this whole loop.
+# one of 720, about 0.04 s for this whole loop.
 for k in range(1, 7):
     cert = certified_rank(k)
     expected = comb(2 * k - 2, k - 1)
@@ -49,7 +49,7 @@ print(f"blocks per prime: {cert7.blocks.count} of order {cert7.blocks.order}, "
       f"cycle types {' and '.join('+'.join(map(str, lam)) for lam in cert7.blocks.cycle_types)}")
 
 # The same split over the rationals keeps every block at most order 672, so
-# degree 7 also has a two-sided exact rank, in about 2 s.
+# degree 7 also has a two-sided exact rank, in about 1.4 s.
 exact7 = certified_rank(7, method="exact")
 print(f"{7:6d} | {5040:5d} | {exact7.rank:4d} | {comb(12, 6):8d} | {exact7.method}")
 

@@ -70,7 +70,6 @@ def _cmd_rank(args) -> int:
             method=args.method,
             num_primes=args.primes,
             seed=args.seed,
-            allow_heavy=args.allow_heavy,
         )
     except (ValueError, OSError, permmatrix.PrimeDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -254,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed for prime sampling")
     p.add_argument("--dump-pbm", metavar="PATH", default=None, help="also write the matrix as a PBM image")
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--allow-heavy",
-        action="store_true",
-        help="permit degree 8 (about 1.5 s for one prime, 3 s for three, 0.26 GB on 2 cores)",
-    )
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -16,11 +16,13 @@ a lower bound that equals the rational rank unless the prime divides a
 critical minor.  Storage is bit-packed; rows become residues only inside
 elimination.
 
-The build copies bytes.  Entry (pi, sigma) is 1 when pi . sigma, a conjugate
-of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations form the
-subgroup H fixing the first two points and each run of s columns is a coset
-c . H, so M[pi, c . h] = M[pi . c, h]: coset c of row pi is row pi . c of the
-slab M[:, :s], made from the multiplication table of H.
+Every entry is read from one slab.  Entry (pi, sigma) is 1 when pi . sigma,
+a conjugate of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations
+form the subgroup H fixing the first two points and each run of s columns is
+a coset c . H, so M[pi, c . h] = slab[rank(pi . c), h] for the slab
+M[:, :s], made from the multiplication table of H.  The build copies it, one
+row gather per coset; the certificates read from it only the n!/(m1 m2)
+columns they need (below), so they never make the n! x n! matrix.
 
 Neither certificate eliminates the full matrix.  Its entry depends only on
 the conjugacy class of sigma . pi, and that class is unchanged when pi is
@@ -71,13 +73,14 @@ Phi_d, d | m, so the matrix is equivalent to one integer block of order
 and its rational rank is the sum of their exact ranks.  At degree 6 that
 is 16 blocks of orders 20 to 80 instead of one of order 720, and at
 degree 7 24 blocks of orders 42 to 672, all proved by the kernel check:
-about 0.03 s for degrees 1..6 and 2 s for degree 7 on a 2-core x86-64 host.
+about 0.04 s for degrees 1..6 and 1.4 s for degree 7 on a 2-core x86-64 host.
 rank_exact itself stays unblocked, an independent check of these ranks.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -93,9 +96,6 @@ numba, mpz = None, int
 
 #: Order cap for one exact elimination (rank_exact, or the largest block of the exact certificate).
 MAX_EXACT_ORDER = 1000
-
-#: Degrees above this need allow_heavy=True for rank computation.
-MAX_LIGHT_RANK_DEGREE = 7
 
 _PRIME_LOW = 1 << 29
 _PRIME_HIGH = 1 << 31
@@ -150,21 +150,29 @@ class BinaryMatrix:
         )
 
 
+def _cycle_indicator(n: int) -> np.ndarray:
+    """is_cycle[r]: whether the permutation of rank r is a single n-cycle."""
+    is_cycle = np.zeros(factorial(n), dtype=bool)
+    is_cycle[perms.perm_ranks(np.array(perms.cyclic_perms(n), dtype=np.int8))] = True
+    return is_cycle
+
+
+def _slab(indicator: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The packed slab ``slab[x, h] = indicator[rank(x . h)]`` over H = S_t on the last t points, and |H|."""
+    t = n - 2 if n >= 6 else n  # makes |H| whole bytes from n = 6 on
+    s = factorial(t)
+    sub = perms.perm_array(t)
+    mult = perms.perm_ranks(sub[:, sub])  # rank of h_i . h_r in S_t
+    # slab row c . h_i holds indicator[rank(c . h_i . h_r)] at column r
+    return np.packbits(np.take(indicator.reshape(-1, s), mult, axis=1).reshape(-1, s), axis=1), s
+
+
 def _build_cycle_matrix(n: int, invert_rows: bool) -> BinaryMatrix:
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
     order = factorial(n)
     perm_arr = perms.perm_array(n)
-    is_cycle = np.zeros(order, dtype=bool)
-    is_cycle[perms.perm_ranks(np.array(perms.cyclic_perms(n), dtype=np.int8))] = True
-    # runs of s = t! columns are cosets c . H of H = S_t on the last t points, and
-    # M[pi, c . h] = M[pi . c, h]; t = n - 2 makes s whole bytes from n = 6 on
-    t = n - 2 if n >= 6 else n
-    s = factorial(t)
-    sub = perms.perm_array(t)
-    mult = perms.perm_ranks(sub[:, sub])  # rank of h_i . h_r in S_t
-    # slab row c . h_i holds is_cycle[rank(c . h_i . h_r)] at column r
-    slab = np.packbits(np.take(is_cycle.reshape(-1, s), mult, axis=1).reshape(order, s), axis=1)
+    slab, s = _slab(_cycle_indicator(n), n)
     # the quotient form is the product form with row pi taken from pi^-1
     rows = perm_arr if not invert_rows else np.argsort(perm_arr, axis=1).astype(np.int8)
     packed = np.empty((order, order // s, slab.shape[1]), dtype=np.uint8)
@@ -350,18 +358,17 @@ def _orbit_minima(inner: np.ndarray, m_inner: int, outer: np.ndarray, m_outer: i
     return np.flatnonzero(low == everyone)
 
 
-def _group_symbols(matrix: BinaryMatrix, cycle_types) -> np.ndarray:
+def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
     """Symbols ``G[d, e, i, j] = M[b^e . r_i . a^d, s_j]`` of the group-matrix form of M.
 
-    ``a`` and ``b`` have the given cycle types and orders m1 and m2, and
-    <a> x <b> acts freely (see _cycle_type_pair); r_i and s_j are the
-    least-ranked members of the row orbits {b^e . pi . a^d} and the column
-    orbits {a^d . sigma . b^e}, each of size m1 m2.  Valid for a matrix of
-    degree n whose entry (pi, sigma) depends only on the conjugacy class of
-    sigma . pi.  The bits are gathered from the packed rows; no dense copy
-    is made.
+    M[pi, sigma] = indicator[rank(pi . sigma)] for a class indicator over
+    the ranks of degree n.  ``a`` and ``b`` have the given cycle types and
+    orders m1 and m2, and <a> x <b> acts freely (see _cycle_type_pair);
+    r_i and s_j are the least-ranked members of the row orbits
+    {b^e . pi . a^d} and the column orbits {a^d . sigma . b^e}.  Only the
+    columns s_j are read from the slab, through one rank map per coset.
     """
-    n = matrix.degree
+    n = sum(cycle_types[0])
     perm_arr = perms.perm_array(n)
     # 1-based cycles on consecutive points, e.g. (1 2 3 4)(5 6 7) for 4+3
     a, b = (
@@ -381,8 +388,16 @@ def _group_symbols(matrix: BinaryMatrix, cycle_types) -> np.ndarray:
         rows[d, 0] = right_a[rows[d - 1, 0]]
     for e in range(1, m2):
         rows[:, e] = left_b[rows[:, e - 1]]
-    shift = (7 - (cols & 7)).astype(np.uint8)
-    return (matrix.packed[rows[..., None], cols >> 3] >> shift) & 1
+    slab, s = _slab(indicator, n)
+    cosets = (cols // s).tolist()
+    symbols = np.empty(rows.shape + cols.shape, dtype=np.uint8)
+    for q in dict.fromkeys(cosets):  # cols ascend, so each coset's columns form one run
+        lo, hi = bisect_left(cosets, q), bisect_right(cosets, q)
+        h = cols[lo:hi] % s
+        bits = (slab[:, h >> 3] >> (7 - (h & 7)).astype(np.uint8)) & 1  # slab[:, h] unpacked
+        # M[pi, c . h] = slab[rank(pi . c), h] for c = perm_arr[q * s], read on the row orbits
+        symbols[..., lo:hi] = bits[perms.perm_ranks(perm_arr[:, perm_arr[q * s]])[rows]]
+    return symbols
 
 
 def _fourier_classes(m: int) -> Counter[int]:
@@ -406,22 +421,19 @@ def _blocked_rank(symbols: np.ndarray, p: int) -> int:
     and its rank counts once per member of the pair.
     """
     m1, m2, order = symbols.shape[:3]
-    w1, w2 = _root_of_unity(m1, p), _root_of_unity(m2, p)
-    classes = [
-        (g1, g2, size1 * size2)
-        for g1, size1 in _fourier_classes(m1).items()
-        for g2, size2 in _fourier_classes(m2).items()
-    ]
-    weights = np.array([
-        [[pow(w1, d * g1, p) * pow(w2, e * g2, p) % p for e in range(m2)] for d in range(m1)]
-        for g1, g2, _ in classes
-    ], dtype=np.int64)
-    # entries stay below m1 * m2 * p < 2**38, so the sums cannot overflow
-    blocks = np.zeros((len(classes), order, order), dtype=np.int64)
-    for d in range(m1):
-        for e in range(m2):
-            blocks += weights[:, d, e, None, None] * symbols[d, e]
-    return sum(size * rank_mod_prime(block, p) for (_, _, size), block in zip(classes, blocks))
+    tables = []  # w^(d g) mod p for w of order m, one row per class g of _fourier_classes(m)
+    for m in (m1, m2):
+        w = _root_of_unity(m, p)
+        powers = np.array(list(accumulate(range(m - 1), lambda x, _: x * w % p, initial=1)))
+        tables.append(powers[np.outer(list(_fourier_classes(m)), np.arange(m)) % m])
+    weights = (tables[0][:, None, :, None] * tables[1][None, :, None, :] % p).reshape(-1, m1 * m2)
+    sizes = [s1 * s2 for s1 in _fourier_classes(m1).values() for s2 in _fourier_classes(m2).values()]
+    # float64 products, 256 columns at a time: every sum is below m1 m2 p < 2**38 < 2**53, so exact
+    flat, weights = symbols.reshape(m1 * m2, -1), weights.astype(np.float64)
+    blocks = np.empty((len(sizes), flat.shape[1]), dtype=np.int64)
+    for c0 in range(0, flat.shape[1], 256):
+        blocks[:, c0:c0 + 256] = weights @ flat[:, c0:c0 + 256].astype(np.float64)
+    return sum(size * rank_mod_prime(b.reshape(order, order), p) for size, b in zip(sizes, blocks))
 
 
 # --- symmetry-blocked rank over the rationals ---
@@ -548,9 +560,9 @@ def _rational_reconstruction(u: np.ndarray, p: int):
 
 
 def _vanishes(a: np.ndarray, kernel: np.ndarray) -> bool:
-    """Whether a @ kernel is zero: in int64 when no sum can reach 2**62, else in Python ints."""
+    """Whether a @ kernel is zero: in float64 when every sum stays exact below 2**53, else in Python ints."""
     top_a, top_k = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a, kernel))
-    dtype = np.int64 if top_a * a.shape[1] * top_k < 1 << 62 else object
+    dtype = np.float64 if top_a * a.shape[1] * top_k < 1 << 53 else object
     return not (a.astype(dtype, copy=False) @ kernel.astype(dtype)).any()
 
 
@@ -621,15 +633,16 @@ def certified_rank(
     method: str = "auto",
     num_primes: int = 3,
     seed: int | None = None,
-    allow_heavy: bool = False,
 ) -> RankCertificate:
     """Rank of the degree-n cycle product matrix with a method record.
 
-    An exact rank up to degree 6 (order 720); degree 7 uses agreement
+    An exact rank up to degree 6 (order 720); degrees 7 and 8 use agreement
     across ``num_primes`` independent random ~30-bit primes, which proves
     the lower-bound direction outright and makes a silent rank drop at
-    every sampled prime the only failure mode.  Degree 8 (order 40320) is
-    gated behind ``allow_heavy``.
+    every sampled prime the only failure mode.  No n! x n! matrix is made:
+    the symbols of the group-matrix form below are read from the slab, so
+    degree 8 (order 40320) takes about 0.7 s per prime at under 0.1 GB on a
+    2-core x86-64 host.
 
     Both paths split the matrix by the subgroup A = <a> x <b> of
     S_n x S_n, acting on rows by pi -> b^e . pi . a^d and on columns by
@@ -673,13 +686,6 @@ def certified_rank(
         raise ValueError(f"num_primes must be at least 1, got {num_primes}")
     if method == "auto":
         method = "exact" if factorial(n) <= MAX_EXACT_ORDER else "modp"
-    if n > MAX_LIGHT_RANK_DEGREE and not allow_heavy:
-        raise ValueError(
-            f"rank at degree {n} (order {factorial(n)}) needs allow_heavy=True; "
-            # measured on a 2-core x86-64 host
-            "expect 16 eliminations of order 336 per prime, 1.5 s for one prime and 3 s "
-            "for the default three, with 0.26 GB peak memory"
-        )
     cycle_types = _cycle_type_pair(n)
     m1, m2 = (lcm(*lam) for lam in cycle_types)
     block_order = factorial(n) // (m1 * m2)
@@ -691,7 +697,7 @@ def certified_rank(
                 f"largest block order {largest} exceeds exact-elimination cap "
                 f"{MAX_EXACT_ORDER}; use the modular certification path"
             )
-    symbols = _group_symbols(cycle_product_matrix(n), cycle_types)
+    symbols = _group_symbols(_cycle_indicator(n), cycle_types)
     types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
     if method == "exact":
         blocks = _cyclotomic_blocks(symbols)

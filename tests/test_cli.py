@@ -69,10 +69,10 @@ def test_rank_dump_pbm_bad_input_exits_2_with_one_line(capsys, tmp_path, k, targ
     assert not path.exists()
 
 
-def test_rank_heavy_degree_is_refused(capsys):
-    code, _, err = run_cli(capsys, "rank", "--k", "8")
-    assert code == 2
-    assert "allow_heavy" in err
+def test_rank_degree_above_the_cap_exits_2_with_one_line(capsys):
+    code, out, err = run_cli(capsys, "rank", "--k", "9")
+    assert code == 2 and out == ""
+    assert err == "error: degree must be in 1..8, got 9\n"
 
 
 def test_verify_table_suite(capsys):
@@ -439,3 +439,65 @@ def test_deeply_nested_automaton_json_exits_2_with_one_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, "2dfa", "run", "-a", str(path), "-w", "a")
     assert code == 2 and out == ""
     assert err == "error: cannot load automaton: JSON nested too deeply\n"
+
+
+_NUMBERS = ["-1", "0", "1", "2", "5", "x", ""]  # every degree drawn stays at 6 or below
+_PARTITIONS = ["1", "3", "2,1", "4,2", "6", "0", "2,3", "a"]
+_AUTOMATA = [str(DATA / "last_a.json"), str(DATA / "always_accept.json"), str(DATA / "missing.json")]
+_COMMANDS = {  # flags and their values; the first ones listed are the required ones
+    ("rank",): {"--k": [*_NUMBERS, "6"], "--method": ["auto", "exact", "modp", "fast"],
+                "--primes": _NUMBERS, "--seed": _NUMBERS, "--dump-pbm": ["PBM", "no/such/dir/x.pbm"],
+                "--json": None},
+    ("verify",): {"--suite": [*verify.SUITES, "all", "nope"], "--n": _NUMBERS, "--quick": None,
+                  "--seed": _NUMBERS, "--json": None},
+    ("bound",): {"--max": _NUMBERS, "--format": ["plain", "csv", "json", "markdown", "xml"]},
+    ("char",): {"--lambda": _PARTITIONS, "--alpha": _PARTITIONS},
+    ("chartable",): {"": _NUMBERS, "--format": ["plain", "csv", "tsv"]},
+    ("asym",): {"--n": _NUMBERS, "--digits": _NUMBERS},
+    ("2dfa", "run"): {"-a": _AUTOMATA, "-w": ["", "ab", "ba", "zz"], "--trace": None},
+    ("2dfa", "commrank"): {"-a": _AUTOMATA, "--prefix-len": _NUMBERS, "--suffix-len": _NUMBERS,
+                           "--dedup": None, "--json": None},
+}
+_REQUIRED = {("rank",): 1, ("verify",): 1, ("char",): 2, ("chartable",): 1, ("asym",): 1,
+             ("2dfa", "run"): 2, ("2dfa", "commrank"): 1}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([*_COMMANDS, ("2dfa",), ("frobnicate",), ()]))
+    flags = _COMMANDS.get(command, {})
+    names = list(flags)
+    argv = list(command)
+    # the required flags most of the time, then any flags, numbers and junk
+    drawn = names[:_REQUIRED.get(command, 0)] if draw(st.integers(0, 4)) else []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["flag", "flag", "number", "junk"]))
+        if kind == "flag" and names:
+            drawn.append(draw(st.sampled_from(names)))
+        else:
+            drawn.append(draw(st.sampled_from(_NUMBERS)) if kind == "number"
+                         else draw(st.text(alphabet="-ak9,/x", max_size=5)))
+    for token in drawn:
+        if token not in flags:
+            argv.append(token)
+            continue
+        if token:
+            argv.append(token)
+        if flags[token] is not None and draw(st.integers(0, 9)):  # now and then no value
+            argv.append(draw(st.sampled_from(flags[token])))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [str(Path(tmp) / "x.pbm") if token == "PBM" else token for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

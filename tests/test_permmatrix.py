@@ -243,8 +243,8 @@ def _spy(monkeypatch, name):
     results = []
     original = getattr(permmatrix, name)
 
-    def spy(*args):
-        results.append(original(*args))
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(permmatrix, name, spy)
@@ -296,6 +296,16 @@ def test_kernel_check_uses_python_ints_when_int64_could_wrap():
     # 2**40 * 2**24 = 2**64 is 0 in int64 arithmetic
     assert not permmatrix._vanishes(np.array([[1 << 40]]), np.array([[1 << 24]], dtype=object))
     assert permmatrix._vanishes(np.array([[1 << 40, 1 << 40]]), np.array([[1 << 24], [-(1 << 24)]]))
+
+
+def test_kernel_check_uses_python_ints_where_float64_would_round():
+    # (2**53 + 1) - 2**53 = 1, but 2**53 + 1 rounds to 2**53 in float64
+    a, kernel = np.array([[(1 << 53) + 1, 1 << 53]]), np.array([[1], [-1]], dtype=object)
+    assert not (a.astype(np.float64) @ kernel.astype(np.float64)).any()
+    assert not permmatrix._vanishes(a, kernel)
+    # just below the bound (top_a * ncols * top_k = 2**53 - 2) float64 is exact
+    a, kernel = np.array([[(1 << 52) - 1, -(1 << 52) + 2]]), np.array([[1], [1]], dtype=object)
+    assert not permmatrix._vanishes(a, kernel)
 
 
 def test_rank_exact_with_entries_near_2_to_40(monkeypatch):
@@ -363,9 +373,21 @@ def test_certified_rank_modular_path_is_seeded():
     assert cert1.primes == cert2.primes
 
 
-def test_certified_rank_degree_eight_gated():
-    with pytest.raises(ValueError, match="allow_heavy"):
-        permmatrix.certified_rank(8)
+def test_certified_rank_degree_eight(monkeypatch):
+    builds = _spy(monkeypatch, "_build_cycle_matrix")
+    cert = permmatrix.certified_rank(8, num_primes=1, seed=8)
+    assert cert.rank == 3432
+    assert cert.method == "modular-multiprime"
+    assert cert.blocks == permmatrix.BlockStructure(((8,), (5, 3)), 120, 120, 336)
+    assert builds == []
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_certified_rank_builds_no_matrix(monkeypatch, n):
+    # the certificates read the symbols from the slab; the k! x k! matrix is never made
+    builds = _spy(monkeypatch, "_build_cycle_matrix")
+    assert permmatrix.certified_rank(n, num_primes=1).rank == comb(2 * n - 2, n - 1)
+    assert builds == []
 
 
 @pytest.mark.parametrize("num_primes", [0, -2])
@@ -454,7 +476,9 @@ def _class_indicator_matrix(n, cycle_types):
 
 
 def _symbols(mat):
-    return permmatrix._group_symbols(mat, permmatrix._cycle_type_pair(mat.degree))
+    # row 0, the identity's, of a class-indicator matrix is the indicator itself
+    indicator = mat.to_dense()[0].astype(bool)
+    return permmatrix._group_symbols(indicator, permmatrix._cycle_type_pair(mat.degree))
 
 
 def _sampled_prime(n):
@@ -497,6 +521,30 @@ def test_cycle_matrix_blocks_are_circulant(n):
                 for d2, e2 in grid:
                     entry = dense[row(d, e, pi), col(d2, e2, sigma)]
                     assert entry == symbols[(d - d2) % m1, (e - e2) % m2, i, j]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_slab_symbols_match_a_gather_from_the_pinned_matrix(n):
+    # orbits from whole-array rank maps and bits read from the packed matrix,
+    # whose bytes are pinned by test_build_output_is_pinned
+    lam, mu = permmatrix._cycle_type_pair(n)
+    m1, m2 = lcm(*lam), lcm(*mu)
+    a, b = _consecutive_cycles(n, lam), _consecutive_cycles(n, mu)
+    a_pow = [np.array(_power(a, d)) for d in range(m1)]
+    b_pow = [np.array(_power(b, e)) for e in range(m2)]
+    group = perms.perm_array(n)
+    row_maps = np.array([[perms.perm_ranks(b_pow[e][group[:, a_pow[d]]]) for e in range(m2)]
+                         for d in range(m1)])  # b^e . pi . a^d
+    col_maps = np.array([[perms.perm_ranks(a_pow[d][group[:, b_pow[e]]]) for e in range(m2)]
+                         for d in range(m1)])  # a^d . sigma . b^e
+    row_reps = np.unique(row_maps.min(axis=(0, 1)))
+    col_reps = np.unique(col_maps.min(axis=(0, 1)))
+    rows = row_maps[:, :, row_reps]
+    packed = permmatrix.cycle_product_matrix(n).packed
+    expected = (packed[rows[..., None], col_reps >> 3] >> (7 - (col_reps & 7)).astype(np.uint8)) & 1
+    symbols = permmatrix._group_symbols(permmatrix._cycle_indicator(n), (lam, mu))
+    assert symbols.shape == (m1, m2, factorial(n) // (m1 * m2), factorial(n) // (m1 * m2))
+    assert np.array_equal(symbols, expected)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -648,7 +696,7 @@ def test_certified_rank_exact_at_degree_seven():
 def test_certified_rank_exact_refused_above_cap():
     # the largest degree-8 block, 336 * phi(8) * phi(15) = 10752, is over the cap
     with pytest.raises(ValueError, match="exact-elimination cap"):
-        permmatrix.certified_rank(8, method="exact", allow_heavy=True)
+        permmatrix.certified_rank(8, method="exact")
 
 
 def test_packbits_round_trip():
