@@ -19,37 +19,26 @@ from permrank import (
 
 print("degree | order | rank | expected | method")
 print("-" * 60)
-# Up to degree 6 the rank is exact.  Rows and columns are grouped into
-# orbits of <a> x <b>, acting by pi -> b^e . pi . a^d and
-# sigma -> a^-d . sigma . b^-e, which conjugates sigma . pi and so keeps
-# every entry; a and b are chosen so that no nontrivial power of one has the
-# cycle type of a nontrivial power of the other, which makes the action
-# free.  Over the rationals the matrix then splits into one integer block
-# per pair of divisors d1 | m1, d2 | m2 of the two orders (cyclotomic
-# polynomials Phi_d1 and Phi_d2).  Each block's rank mod one ~31-bit prime
-# is proved exact by checking its kernel over the integers, with
-# fraction-free elimination as the fallback; the note says which proved
-# each block.  At degree 6 that is 16 blocks of orders 20 to 80 instead of
-# one of 720, about 0.04 s for this whole loop.
+# Up to degree 6 the rank is exact over the rationals.  The matrix is split
+# into one integer block per pair of divisors of the orders of two cyclic
+# subgroups (the argument is in the permrank.permmatrix docstring); the
+# note printed for degree 6 names the blocks and what proved each one.
 for k in range(1, 7):
     cert = certified_rank(k)
     expected = comb(2 * k - 2, k - 1)
     print(f"{k:6d} | {factorial(k):5d} | {cert.rank:4d} | {expected:8d} | {cert.method}")
 print(f"degree 6: {cert.note}")
 
-# Degree 7 is a 5040 x 5040 matrix.  By default its rank is certified by
-# agreement across three independent ~30-bit primes (each residue rank is a
-# lower bound on the rational rank).  At each prime the matrix splits into
-# 120 Fourier blocks of order 42 whose ranks add up, and only one block per
-# class of equal rank, 24 in all, is eliminated.
+# Degree 7 is a 5040 x 5040 matrix.  By default its rank is a lower bound
+# agreed by three random primes; each prime ranks the blocks of order 42
+# that the same split gives mod p.  Printed: the primes and the blocks.
 cert7 = certified_rank(7, seed=0)
 print(f"{7:6d} | {5040:5d} | {cert7.rank:4d} | {comb(12, 6):8d} | {cert7.method}")
 print(f"primes used: {cert7.primes}")
 print(f"blocks per prime: {cert7.blocks.count} of order {cert7.blocks.order}, "
       f"cycle types {' and '.join('+'.join(map(str, lam)) for lam in cert7.blocks.cycle_types)}")
 
-# The same split over the rationals keeps every block at most order 672, so
-# degree 7 also has a two-sided exact rank, in about 1.4 s.
+# The rational split also gives degree 7 a two-sided exact rank.
 exact7 = certified_rank(7, method="exact")
 print(f"{7:6d} | {5040:5d} | {exact7.rank:4d} | {comb(12, 6):8d} | {exact7.method}")
 

@@ -9,13 +9,7 @@ canonical (lexicographic) order.  Two 0/1 matrices are built:
   also the matrix of left multiplication by the sum of all n-cycles in the
   group algebra, which left_multiplication_matrix builds independently.
 
-Ranks are certified two ways: rank_exact gives the rank over the rationals
-(the rank mod one prime, proved by an exact kernel check, with Bareiss
-elimination as the fallback); elimination modulo random ~30-bit primes gives
-a lower bound that equals the rational rank unless the prime divides a
-critical minor.  Storage is bit-packed; rows become residues only inside
-elimination.
-
+Storage is bit-packed; rows become residues only inside elimination.
 Every entry is read from one slab.  Entry (pi, sigma) is 1 when pi . sigma,
 a conjugate of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations
 form the subgroup H fixing the first two points and each run of s columns is
@@ -24,64 +18,63 @@ M[:, :s], made from the multiplication table of H.  The build copies it, one
 row gather per coset; the certificates read from it only the n!/(m1 m2)
 columns they need (below), so they never make the n! x n! matrix.
 
-Neither certificate eliminates the full matrix.  Its entry depends only on
-the conjugacy class of sigma . pi, and that class is unchanged when pi is
-replaced by b^e . pi . a^d and sigma by a^-d . sigma . b^-e, for fixed
-permutations ``a`` of order m1 and ``b`` of order m2: sigma . pi becomes
-a^-d . sigma . pi . a^d.  So the group A = <a> x <b> (a subgroup of
-S_n x S_n, of order m1 m2) acts on rows and on columns and the matrix is
-invariant.  The action on rows is free exactly when b^e . pi . a^d = pi,
-that is b^e = pi . a^-d . pi^-1, forces a^d = b^e = 1: when no nontrivial
-power of ``a`` has the cycle type of a nontrivial power of ``b``.  The
-columns give the same rule.  Of the pairs of cycle types that obey it, the
-first with the largest m1 m2 is taken: 3 and 2+1 (m1 m2 = 6) at degree 3,
+Ranks are certified over Q by rank_exact's kernel check and mod random
+~30-bit primes, a lower bound.  Neither certificate eliminates M itself;
+both split it by the argument below, which uses only that M[pi, sigma]
+depends on the conjugacy class of sigma . pi, none of the character theory
+the ranks confirm.  rank_exact never splits, so it checks the split.
+
+Invariance.  For permutations ``a`` of order m1 and ``b`` of order m2,
+pi -> b^e . pi . a^d and sigma -> a^-d . sigma . b^-e turn sigma . pi into
+its conjugate by a^d, so A = <a> x <b> (in S_n x S_n) acts on rows and
+columns and M is invariant.
+
+Freeness.  b^e . pi . a^d = pi means b^e = pi . a^-d . pi^-1, so A acts
+freely exactly when no nontrivial power of ``a`` has the cycle type of a
+nontrivial power of ``b``.  Of the pairs of cycle types that obey this,
+the first with the largest m1 m2 is taken: 3 and 2+1 (6) at degree 3,
 6 and 3+2+1 (36) at degree 6, 5+2 and 4+3 (120) at degree 7, 8 and 5+3
-(120) at degree 8.  With rows and columns grouped into A-orbits,
-b^e . r_i . a^d and a^-d' . s_j . b^-e', entry ((d, e, i), (d', e', j)) is
-G[d - d', e - e', i, j] for the symbols G[d, e, i, j] = M[b^e . r_i . a^d,
-s_j]: every (row orbit, column orbit) pair is a group matrix over
-Z_m1 x Z_m2, an m1 x m1 circulant of m2 x m2 circulants.
+(120) at degree 8.
 
-For a prime p = 1 (mod lcm(m1, m2)), the characters of Z_m1 x Z_m2 take
-values in the field with p elements, and the transform by them
-diagonalises every such group matrix at once; it is an invertible change
-of basis mod p, so it splits the matrix into m1 m2 blocks
-B_(t1, t2) = sum_(d, e) w1^(d t1) w2^(e t2) G[d, e] of order n!/(m1 m2)
-whose ranks mod p add up to exactly the rank of the full matrix mod p.
-The argument uses only that invariance, none of the character theory the
-ranks confirm.
+Group matrix.  With rows b^e . r_i . a^d and columns a^-d' . s_j . b^-e'
+grouped by orbit, entry ((d, e, i), (d', e', j)) is G[d - d', e - e', i, j]
+for the symbols G[d, e, i, j] = M[b^e . r_i . a^d, s_j].  So up to a
+permutation M = sum_(d, e) kron(G[d, e], P1^d (x) P2^e), P1 and P2 the
+cyclic shifts of orders m1 and m2.
 
-Only one Fourier block per pair of power-map classes is eliminated.  For u
-prime to m1, the permutation c that maps c_i to c_(u i mod l) on each
-cycle (c_0 ... c_(l-1)) of ``a`` satisfies c . a . c^-1 = a^u; likewise
+Representations over the field.  The shift P of order m is the companion
+matrix of x^m - 1 = prod_(d | m) Phi_d, whose factors are coprime over Q
+and mod every prime not dividing m.  So P is similar to the direct sum of
+the companion matrices C_d, one irreducible representation R of Z_m per
+divisor, of dimension phi(d), and M is equivalent to the direct sum of
+the blocks sum_(d, e) kron(G[d, e], R1^d (x) R2^e), one per pair
+d1 | m1, d2 | m2: its rank is the sum of theirs.  Over Q these are
+integer blocks of order (n!/(m1 m2)) phi(d1) phi(d2), 24 of orders 42 to
+672 at degree 7.  Mod a prime p = 1 (mod lcm(m1, m2)), Phi_d has the
+phi(d) primitive d-th roots of unity w as distinct roots, so C_d is
+similar to diag(w), and the rational block splits into phi(d1) phi(d2)
+blocks sum_(d, e) w1^d w2^e G[d, e] of order n!/(m1 m2).
+
+Power map.  Those phi(d1) phi(d2) blocks have equal rank, so one is
+eliminated and its rank counted phi(d1) phi(d2) times.  For u prime to
+m1, the permutation c that maps c_i to c_(u i mod l) on each cycle
+(c_0 ... c_(l-1)) of ``a`` satisfies c . a . c^-1 = a^u; likewise
 c' . b . c'^-1 = b^v for v prime to m2.  The map pi -> c' . pi . c^-1,
-sigma -> c . sigma . c'^-1 conjugates sigma . pi, and it sends the orbit
-element b^e . pi . a^d to b^(v e) . (c' . pi . c^-1) . a^(u d).  So it
-permutes the row orbits and the column orbits and scales the group
-indices, and B_(t1, t2) equals B_(u^-1 t1, v^-1 t2) up to row and column
-permutations and diagonal scalings: the two have the same rank mod p.  The
-rank of a block thus depends only on (gcd(t1, m1), gcd(t2, m2)), and one
-block per pair of classes is eliminated: 24 blocks of order 42 at
-degree 7, 16 of order 336 at degree 8.  Again only the invariance under
-conjugacy is used.
-
-The exact certificate splits the same group matrix over the rationals
-instead.  Each cyclic shift, of order m = m1 or m = m2, is similar over Q
-to the direct sum of the companion matrices of the cyclotomic polynomials
-Phi_d, d | m, so the matrix is equivalent to one integer block of order
-(n!/(m1 m2)) * phi(d1) * phi(d2) per pair of divisors d1 | m1, d2 | m2,
-and its rational rank is the sum of their exact ranks.  At degree 6 that
-is 16 blocks of orders 20 to 80 instead of one of order 720, and at
-degree 7 24 blocks of orders 42 to 672, all proved by the kernel check:
-about 0.04 s for degrees 1..6 and 1.4 s for degree 7 on a 2-core x86-64 host.
-rank_exact itself stays unblocked, an independent check of these ranks.
+sigma -> c . sigma . c'^-1 conjugates sigma . pi and sends b^e . pi . a^d
+to b^(v e) . (c' . pi . c^-1) . a^(u d): it permutes the orbits and
+scales the group indices, so the block for (w1, w2) equals the block for
+(w1^u, w2^v) up to permutations and diagonal scalings.  Units mod m map
+onto units mod d, so every primitive d-th root is such a w^u.  Each prime
+thus costs tau(m1) tau(m2) eliminations: 24 of order 42 at degree 7, 16
+of order 336 at degree 8.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -101,6 +94,8 @@ _PRIME_LOW = 1 << 29
 _PRIME_HIGH = 1 << 31
 
 _CHECK_PRIME = 2147483629  # rank_exact's one prime, the largest below 2**31
+
+_PBM_HEADER = re.compile(rb"P4(?:\s|#[^\n]*\n)+(\d+)(?:\s|#[^\n]*\n)+(\d+)\s")  # a comment runs to its newline
 
 
 @dataclass(frozen=True)
@@ -316,7 +311,7 @@ def rank_mod_prime(m, p: int) -> int:
     return len(_echelon_mod_p(_as_int64(m) % p, p))
 
 
-# --- symmetry-blocked rank mod p ---
+# --- the split by A = <a> x <b> (module docstring) ---
 
 def _power_cycle_types(cycle_type) -> set[tuple[int, ...]]:
     """Cycle types of the nontrivial powers a^d of a permutation ``a`` of this cycle type.
@@ -330,12 +325,10 @@ def _power_cycle_types(cycle_type) -> set[tuple[int, ...]]:
 
 
 def _cycle_type_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cycle types of a and b for which <a> x <b> acts freely on S_n and has the largest order.
+    """Cycle types of a and b for which <a> x <b> acts freely on S_n (module docstring).
 
-    b^e . pi . a^d = pi means b^e = pi . a^-d . pi^-1, so the action is free
-    exactly when no nontrivial power of ``a`` has the cycle type of a
-    nontrivial power of ``b``.  Among such pairs the first, in the order of
-    young.partitions, with the largest product of the two orders.
+    Of such pairs, the first in the order of young.partitions with the
+    largest product of the two orders.
     """
     powers = {lam: _power_cycle_types(lam) for lam in young.partitions(n)}
     free = [(lam, mu) for lam in powers for mu in powers if not powers[lam] & powers[mu]]
@@ -400,44 +393,6 @@ def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
     return symbols
 
 
-def _fourier_classes(m: int) -> Counter[int]:
-    """The classes {t : gcd(t, m) = g} of Fourier indices t in 0..m-1, as {g: phi(m/g)}.
-
-    They are the orbits of t -> u t for u prime to m; gcd(0, m) = m.
-    """
-    return Counter(gcd(t, m) for t in range(m))
-
-
-def _blocked_rank(symbols: np.ndarray, p: int) -> int:
-    """Rank mod ``p`` of the group matrix over Z_m1 x Z_m2 whose symbols are ``symbols``.
-
-    Over the field with p elements, p = 1 (mod lcm(m1, m2)), invertible row
-    and column operations take the matrix to the direct sum of the m1 m2
-    blocks ``B_(t1, t2) = sum_(d, e) w1^(d t1) w2^(e t2) G[d, e]`` for
-    primitive m1-th and m2-th roots of unity w1 and w2, so its rank is the
-    sum of theirs.  The rank of B_(t1, t2) depends only on
-    (gcd(t1, m1), gcd(t2, m2)) (see the module docstring), so one block per
-    pair of classes of _fourier_classes is built and eliminated, B_(g1, g2),
-    and its rank counts once per member of the pair.
-    """
-    m1, m2, order = symbols.shape[:3]
-    tables = []  # w^(d g) mod p for w of order m, one row per class g of _fourier_classes(m)
-    for m in (m1, m2):
-        w = _root_of_unity(m, p)
-        powers = np.array(list(accumulate(range(m - 1), lambda x, _: x * w % p, initial=1)))
-        tables.append(powers[np.outer(list(_fourier_classes(m)), np.arange(m)) % m])
-    weights = (tables[0][:, None, :, None] * tables[1][None, :, None, :] % p).reshape(-1, m1 * m2)
-    sizes = [s1 * s2 for s1 in _fourier_classes(m1).values() for s2 in _fourier_classes(m2).values()]
-    # float64 products, 256 columns at a time: every sum is below m1 m2 p < 2**38 < 2**53, so exact
-    flat, weights = symbols.reshape(m1 * m2, -1), weights.astype(np.float64)
-    blocks = np.empty((len(sizes), flat.shape[1]), dtype=np.int64)
-    for c0 in range(0, flat.shape[1], 256):
-        blocks[:, c0:c0 + 256] = weights @ flat[:, c0:c0 + 256].astype(np.float64)
-    return sum(size * rank_mod_prime(b.reshape(order, order), p) for size, b in zip(sizes, blocks))
-
-
-# --- symmetry-blocked rank over the rationals ---
-
 @cache
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """Integer coefficients of the d-th cyclotomic polynomial, constant term first.
@@ -461,46 +416,67 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _companion_powers(m: int) -> list[np.ndarray]:
-    """[C_d^0, ..., C_d^(m-1)] for each divisor d of m, C_d the companion matrix of Phi_d."""
-    out = []
-    for d in range(1, m + 1):
-        if m % d:
-            continue
+def _divisors(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _representations(m: int, p: int | None) -> list[tuple[int, np.ndarray]]:
+    """(count, [R^0, ..., R^(m-1)]) for one irreducible representation R of Z_m per divisor d of m.
+
+    R is the companion matrix of Phi_d over Q (``p`` None), counted once,
+    and a primitive d-th root of unity mod p, counted phi(d) times.
+    """
+    out, w = [], _root_of_unity(m, p) if p is not None else None
+    for d in _divisors(m):
         phi = _cyclotomic(d)
-        k = len(phi) - 1
-        companion = np.eye(k, k, -1, dtype=np.int64)
-        companion[:, -1] = [-c for c in phi[:-1]]
-        powers = [np.eye(k, dtype=np.int64)]
-        for _ in range(1, m):
-            powers.append(powers[-1] @ companion)
-        out.append(np.array(powers))
+        if p is None:
+            r = np.eye(len(phi) - 1, k=-1, dtype=np.int64)
+            r[:, -1] = [-c for c in phi[:-1]]
+            powers = accumulate(range(m - 1), lambda x, _: x @ r, initial=np.eye(len(r), dtype=np.int64))
+            out.append((1, np.array(list(powers))))
+        else:  # w^(m/d) has order d
+            out.append((len(phi) - 1, np.array([pow(w, j * (m // d), p) for j in range(m)]).reshape(m, 1, 1)))
     return out
 
 
-def _cyclotomic_blocks(symbols: np.ndarray) -> list[np.ndarray]:
-    """Integer blocks whose ranks over Q add up to that of the matrix with these symbols.
+def _representation_blocks(symbols: np.ndarray, p: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(count, sum_(d, e) kron(G[d, e], R1^d (x) R2^e)) for each pair of _representations of m1 and m2.
 
-    Up to a permutation of rows and columns the matrix is
-    ``sum_(d, e) kron(G[d, e], P1^d (x) P2^e)`` for the m1 x m1 and m2 x m2
-    cyclic shifts P1 and P2, the companion matrices of x^m1 - 1 and
-    x^m2 - 1.  Their factors Phi_d1 (d1 | m1) are coprime, so over Q the
-    shift P1 is similar to the direct sum of the companion matrices C_d1,
-    and likewise P2, and the matrix is equivalent to the direct sum of the
-    blocks ``sum_(d, e) kron(G[d, e], C_d1^d (x) C_d2^e)``, of order
-    (n!/(m1 m2)) * phi(d1) * phi(d2), one per pair of divisors.
+    The rank over Q (``p`` None), or mod ``p``, of the group matrix with
+    these symbols is the sum of the block ranks times their counts.
     """
     m1, m2, order = symbols.shape[:3]
-    g = symbols.astype(np.int64)
-    blocks = []
-    second = _companion_powers(m2)
-    for c1 in _companion_powers(m1):
-        for c2 in second:
-            k = c1.shape[1] * c2.shape[1]
-            shifts = np.einsum("dab,ecf->deacbf", c1, c2).reshape(m1, m2, k, k)
-            block = np.tensordot(g, shifts, axes=([0, 1], [0, 1])).transpose(0, 2, 1, 3)
-            blocks.append(block.reshape(order * k, order * k))
-    return blocks
+    counts, weights, second = [], [], _representations(m2, p)
+    for c1, r1 in _representations(m1, p):
+        for c2, r2 in second:
+            # row (a, c, b, f) holds entry ((a, c), (b, f)) of R1^d (x) R2^e in column (d, e)
+            w = np.einsum("dab,ecf->acbfde", r1, r2).reshape(-1, m1 * m2)
+            counts.append(c1 * c2)
+            weights.append(w)
+    rows = list(accumulate((len(w) for w in weights), initial=0))
+    weights = np.concatenate(weights)
+    if p is not None:
+        weights %= p  # products of two residues, below p**2 < 2**62
+    # float64 products, 256 columns at a time: every sum has m1 m2 terms
+    # weight * 0/1, so it stays below 2**53 and is exact
+    assert m1 * m2 * int(np.abs(weights).max()) < 1 << 53
+    flat, weights = symbols.reshape(m1 * m2, -1), weights.astype(np.float64)
+    # one array per pair, dropped once its block is made, so one block is held at a time
+    sums = [np.empty((hi - lo, order * order), dtype=np.int64) for lo, hi in zip(rows, rows[1:])]
+    for c0 in range(0, order * order, 256):
+        products = weights @ flat[:, c0:c0 + 256].astype(np.float64)
+        for s, lo, hi in zip(sums, rows, rows[1:]):
+            s[:, c0:c0 + 256] = products[lo:hi]
+    for count in counts:
+        block = sums.pop(0)
+        k = isqrt(len(block))
+        block = block.reshape(k, k, order, order).transpose(2, 0, 3, 1).reshape(order * k, -1)
+        yield count, block
+
+
+def _blocked_rank(symbols: np.ndarray, p: int) -> int:
+    """Rank mod ``p``, p = 1 (mod lcm(m1, m2)), of the group matrix over Z_m1 x Z_m2 with these symbols."""
+    return sum(count * rank_mod_prime(block, p) for count, block in _representation_blocks(symbols, p))
 
 
 # --- exact rank over the rationals ---
@@ -636,47 +612,15 @@ def certified_rank(
 ) -> RankCertificate:
     """Rank of the degree-n cycle product matrix with a method record.
 
-    An exact rank up to degree 6 (order 720); degrees 7 and 8 use agreement
-    across ``num_primes`` independent random ~30-bit primes, which proves
-    the lower-bound direction outright and makes a silent rank drop at
-    every sampled prime the only failure mode.  No n! x n! matrix is made:
-    the symbols of the group-matrix form below are read from the slab, so
-    degree 8 (order 40320) takes about 0.7 s per prime at under 0.1 GB on a
-    2-core x86-64 host.
-
-    Both paths split the matrix by the subgroup A = <a> x <b> of
-    S_n x S_n, acting on rows by pi -> b^e . pi . a^d and on columns by
-    sigma -> a^-d . sigma . b^-e.  That changes sigma . pi only by
-    conjugation, so the entry is unchanged.  A acts freely on both sides
-    exactly when no nontrivial power of ``a`` has the cycle type of a
-    nontrivial power of ``b``; the pair of cycle types of largest
-    m1 m2 = |A| under that rule is taken (at degree 7, 5+2 and 4+3, so
-    m1 m2 = 10 * 12 = 120).  Grouped into A-orbits of size m1 m2 the
-    matrix is a group matrix over Z_m1 x Z_m2.
-
-    The modular path samples primes p = 1 (mod lcm(m1, m2)).  The
-    characters of Z_m1 x Z_m2 exist mod p and their transform, invertible
-    over the field with p elements, turns the matrix into m1 m2 blocks of
-    order n!/(m1 m2), so the sum of the block ranks is exactly the rank of
-    the full matrix mod p.  Since ``a`` is conjugate to a^u for every u
-    prime to m1, and ``b`` to b^v for every v prime to m2, block (t1, t2)
-    has the rank of block (u t1, v t2), so the blocks fall into
-    tau(m1) tau(m2) classes, and each prime costs one elimination of order
-    n!/(m1 m2) per class instead of one of order n! (at degree 7: 24
-    eliminations of order 42 for the 120 blocks).
-
-    The exact path uses the same pair and symbols over the rationals.
-    There the cyclic shifts of orders m1 and m2 are similar to the direct
-    sums of the companion matrices C_d of the cyclotomic polynomials Phi_d,
-    so the rational rank is the sum of the exact ranks of the integer blocks
-    ``sum_(d, e) kron(G[d, e], C_d1^d (x) C_d2^e)``, of order
-    (n!/(m1 m2)) * phi(d1) * phi(d2), one per pair of divisors d1 | m1,
-    d2 | m2, each found as rank_exact finds it.  The cap MAX_EXACT_ORDER
-    applies to the largest block, so degree 7 (largest block 42 * 4 * 4 =
-    672) has an exact rank too; ``auto`` still picks the exact path only up
-    to n! = MAX_EXACT_ORDER.  The note records the cycle types, the block
-    orders and, block by block, whether the kernel check or the Bareiss
-    fallback proved the rank.
+    ``exact`` (what ``auto`` picks while n! <= MAX_EXACT_ORDER) proves the
+    rational rank from the rational blocks of the module docstring, each
+    ranked as rank_exact ranks; MAX_EXACT_ORDER caps the largest block, so
+    degree 7 is allowed and 8 refused.  ``modp`` (``auto`` above) gives a
+    lower bound, the rank mod ``num_primes`` random ~30-bit primes
+    p = 1 (mod lcm(m1, m2)) from one modular block per pair of divisors;
+    primes that disagree raise PrimeDisagreement.  No n! x n! matrix is
+    made.  The note names the cycle types and, for ``exact``, each block's
+    order and whether the kernel check or the Bareiss fallback proved it.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -700,18 +644,17 @@ def certified_rank(
     symbols = _group_symbols(_cycle_indicator(n), cycle_types)
     types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
     if method == "exact":
-        blocks = _cyclotomic_blocks(symbols)
-        results = [_rank_over_q(block) for block in blocks]
+        results = [(len(block), *_rank_over_q(block)) for _, block in _representation_blocks(symbols)]
         return RankCertificate(
-            rank=sum(rank for rank, _ in results),
+            rank=sum(rank for _, rank, _ in results),
             method="exact-fraction-free",
             primes=(),
             note=(
-                f"rank over the rationals of {len(blocks)} cyclotomic blocks of orders "
-                f"{', '.join(str(len(block)) for block in blocks)} "
+                f"rank over the rationals of {len(results)} cyclotomic blocks of orders "
+                f"{', '.join(str(order) for order, _, _ in results)} "
                 f"(cycle types {types_label}), certified in turn by "
                 + ", ".join(f"kernel check mod {p}" if p else "Bareiss fallback"
-                            for _, p in results)
+                            for _, _, p in results)
             ),
             degree=n,
         )
@@ -725,7 +668,7 @@ def certified_rank(
     ranks = set(sampled.values())
     if len(ranks) != 1:
         raise PrimeDisagreement(sampled)
-    classes = len(_fourier_classes(m1)) * len(_fourier_classes(m2))
+    classes = len(_divisors(m1)) * len(_divisors(m2))
     return RankCertificate(
         rank=ranks.pop(),
         method="modular-multiprime",
@@ -757,17 +700,22 @@ def write_pbm(m: BinaryMatrix, path) -> None:
 
 
 def read_pbm(path) -> BinaryMatrix:
-    """Read back a binary PBM written by write_pbm."""
+    """Read back a square binary PBM (P4), such as write_pbm writes.
+
+    The magic, width and height are separated by whitespace and ``#``
+    comments, and one whitespace byte ends the header.  An empty,
+    truncated or malformed file raises ValueError.
+    """
     with open(path, "rb") as fh:
-        magic = fh.readline().split()[0]
-        if magic != b"P4":
-            raise ValueError(f"not a binary PBM: magic {magic!r}")
-        line = fh.readline()
-        while line.startswith(b"#"):
-            line = fh.readline()
-        width, height = map(int, line.split())
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
-    packed = data.reshape(height, (width + 7) // 8)
+        data = fh.read()
+    if not data.startswith(b"P4"):
+        raise ValueError(f"not a binary PBM: magic {data[:2]!r}" if data else "not a binary PBM: empty file")
+    if (header := _PBM_HEADER.match(data)) is None:
+        raise ValueError("truncated or malformed PBM header")
+    width, height = int(header[1]), int(header[2])
     if width != height:
         raise ValueError(f"expected a square image, got {width}x{height}")
-    return BinaryMatrix(width, packed)
+    raster, row_bytes = np.frombuffer(data, dtype=np.uint8, offset=header.end()), (width + 7) // 8
+    if raster.size != height * row_bytes:
+        raise ValueError(f"expected {height * row_bytes} raster bytes, got {raster.size}")
+    return BinaryMatrix(width, raster.reshape(height, row_bytes))

@@ -54,7 +54,7 @@ RIGHT_MARK = ">"
 HALT_ACCEPT = -1
 HALT_REJECT = -2  # halted non-accepting or looped
 
-#: Default cap on automaton size for the one-way conversion.
+#: Cap on automaton size for the one-way conversion.
 MAX_CONVERT_STATES = 5
 
 #: Most distinct crossing tables one walk may number (to_dfa's default max_states).
@@ -408,16 +408,15 @@ def _suffix_tables(a: TwoWayDFA, budget: int) -> _Tables:
     return _Tables(_end_table(a), lambda t, c: _prepend(a, t, c), budget)
 
 
-def to_dfa(a: TwoWayDFA, max_states: int = MAX_TABLES, max_automaton_states: int = MAX_CONVERT_STATES) -> DFA:
+def to_dfa(a: TwoWayDFA, max_states: int = MAX_TABLES) -> DFA:
     """One-way DFA over the reachable (normalized) crossing tables.
 
     Recognizes the same language; the state count is the reachable behavior
-    count, and more than ``max_states`` of them raise ValueError.
+    count, and more than ``max_states`` of them raise ValueError, as does an
+    automaton of more than MAX_CONVERT_STATES states.
     """
-    if len(a.states) > max_automaton_states:
-        raise ValueError(
-            f"{len(a.states)} states exceeds the conversion cap {max_automaton_states}"
-        )
+    if len(a.states) > MAX_CONVERT_STATES:
+        raise ValueError(f"{len(a.states)} states exceeds the conversion cap {MAX_CONVERT_STATES}")
     tables = _prefix_tables(a, max_states)
     tables.explore(a.alphabet)  # every table, so the memo holds every move
     end = _end_table(a)

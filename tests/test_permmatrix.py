@@ -619,11 +619,32 @@ def test_fourier_block_rank_depends_only_on_gcd_for_every_class_indicator(n):
         _assert_rank_depends_only_on_gcd(_symbols(_class_indicator_matrix(n, {lam})), p)
 
 
-@pytest.mark.parametrize("m, classes", [(1, {1: 1}), (6, {6: 1, 1: 2, 2: 2, 3: 1}),
-                                        (12, {12: 1, 1: 4, 2: 2, 3: 2, 4: 2, 6: 1}),
-                                        (15, {15: 1, 1: 8, 3: 4, 5: 2})])
-def test_fourier_classes(m, classes):
-    assert permmatrix._fourier_classes(m) == classes
+@pytest.mark.parametrize("n", range(1, 9))
+def test_modular_block_counts_add_up_to_the_group_order(n):
+    # one block per pair of divisors d1 | m1, d2 | m2, counted phi(d1) phi(d2)
+    # times, stands for all m1 m2 Fourier blocks
+    lam, mu = permmatrix._cycle_type_pair(n)
+    m1, m2 = lcm(*lam), lcm(*mu)
+    p = _sampled_prime(n)
+    symbols = np.zeros((m1, m2, 1, 1), dtype=np.uint8)
+    counts = [count for count, _ in permmatrix._representation_blocks(symbols, p)]
+    phi = {d: sum(gcd(t, d) == 1 for t in range(d)) for d in range(1, max(m1, m2) + 1)}
+    assert counts == [phi[d1] * phi[d2] for d1 in range(1, m1 + 1) if m1 % d1 == 0
+                      for d2 in range(1, m2 + 1) if m2 % d2 == 0]
+    assert sum(counts) == m1 * m2
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_rational_block_splits_into_its_count_of_modular_blocks(n):
+    # mod p the rational block (d1, d2) is similar to phi(d1) phi(d2) modular
+    # blocks of equal rank, so its rank mod p is that many times theirs
+    symbols, p = _symbols(permmatrix.cycle_product_matrix(n)), _sampled_prime(n)
+    rational = list(permmatrix._representation_blocks(symbols))
+    modular = list(permmatrix._representation_blocks(symbols, p))
+    assert len(rational) == len(modular)
+    for (one, q_block), (count, p_block) in zip(rational, modular):
+        assert one == 1 and len(q_block) == count * len(p_block)
+        assert permmatrix.rank_mod_prime(q_block, p) == count * permmatrix.rank_mod_prime(p_block, p)
 
 
 @pytest.mark.parametrize("m", range(1, 16))
@@ -641,7 +662,7 @@ def test_cyclotomic_factors_multiply_to_x_m_minus_1(m):
 
 
 def _cyclotomic_rank(mat):
-    blocks = permmatrix._cyclotomic_blocks(_symbols(mat))
+    blocks = [block for _, block in permmatrix._representation_blocks(_symbols(mat))]
     assert sum(len(b) for b in blocks) == mat.order
     return sum(permmatrix.rank_exact(b) for b in blocks)
 
@@ -727,3 +748,34 @@ def test_pbm_header(tmp_path):
     assert raw.startswith(b"P4\n2 2\n")
     # rows are 01 / 10, MSB-first padded to a byte
     assert raw[7:] == bytes([0b01000000, 0b10000000])
+
+
+def test_read_pbm_one_line_header_and_comments(tmp_path):
+    expected = permmatrix.cycle_product_matrix(2)
+    raster = bytes([0b01000000, 0b10000000])
+    for header in (b"P4 2 2\n", b"P4\n# made by hand\n2 # width\n2\t", b"P4 2\n2 "):
+        path = tmp_path / "m.pbm"
+        path.write_bytes(header + raster)
+        assert permmatrix.read_pbm(path) == permmatrix.BinaryMatrix(2, expected.packed)
+
+
+def test_read_pbm_empty_file_is_one_line_value_error(tmp_path):
+    path = tmp_path / "empty.pbm"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="^not a binary PBM: empty file$"):
+        permmatrix.read_pbm(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P4", "truncated or malformed PBM header"),
+    (b"P4\n2", "truncated or malformed PBM header"),
+    (b"P4\n2 2", "truncated or malformed PBM header"),
+    (b"P4 " + b"#" * 64 + b" 2 2\n", "truncated or malformed PBM header"),  # the comment takes the sizes
+    (b"P4\n2 2\n\x40", "expected 2 raster bytes, got 1"),
+    (b"P4\n2 2\n", "expected 2 raster bytes, got 0"),
+])
+def test_read_pbm_truncated_file_is_one_line_value_error(tmp_path, raw, message):
+    path = tmp_path / "cut.pbm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        permmatrix.read_pbm(path)
