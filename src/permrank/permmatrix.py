@@ -209,8 +209,12 @@ def left_multiplication_matrix(n: int) -> BinaryMatrix:
 
 # --- primality and prime sampling (deterministic Miller-Rabin) ---
 
+@cache
 def is_prime(n: int) -> bool:
-    """Deterministic for n < 3.2e9 (witnesses 2, 3, 5, 7)."""
+    """Deterministic for n < 3.2e9 (witnesses 2, 3, 5, 7).
+
+    Cached: rank_mod_prime checks its prime once per block.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7):

@@ -57,7 +57,7 @@ HALT_REJECT = -2  # halted non-accepting or looped
 #: Cap on automaton size for the one-way conversion.
 MAX_CONVERT_STATES = 5
 
-#: Most distinct crossing tables one walk may number (to_dfa's default max_states).
+#: Most distinct crossing tables one walk may number.
 MAX_TABLES = 100_000
 
 #: Keys of the JSON wire format: the automaton, and each entry of its "delta".
@@ -397,27 +397,27 @@ class _Tables:
         return words
 
 
-def _prefix_tables(a: TwoWayDFA, budget: int) -> _Tables:
+def _prefix_tables(a: TwoWayDFA) -> _Tables:
     n = len(a.states)
     start = _normalize(prefix_behavior(a, ""), n)
-    return _Tables(start, lambda b, c: _normalize(extend_behavior(a, b, c), n), budget)
+    return _Tables(start, lambda b, c: _normalize(extend_behavior(a, b, c), n), MAX_TABLES)
 
 
-def _suffix_tables(a: TwoWayDFA, budget: int) -> _Tables:
+def _suffix_tables(a: TwoWayDFA) -> _Tables:
     """Suffix tables, read right to left: their words are reversed suffixes."""
-    return _Tables(_end_table(a), lambda t, c: _prepend(a, t, c), budget)
+    return _Tables(_end_table(a), lambda t, c: _prepend(a, t, c), MAX_TABLES)
 
 
-def to_dfa(a: TwoWayDFA, max_states: int = MAX_TABLES) -> DFA:
+def to_dfa(a: TwoWayDFA) -> DFA:
     """One-way DFA over the reachable (normalized) crossing tables.
 
     Recognizes the same language; the state count is the reachable behavior
-    count, and more than ``max_states`` of them raise ValueError, as does an
+    count, and more than MAX_TABLES of them raise ValueError, as does an
     automaton of more than MAX_CONVERT_STATES states.
     """
     if len(a.states) > MAX_CONVERT_STATES:
         raise ValueError(f"{len(a.states)} states exceeds the conversion cap {MAX_CONVERT_STATES}")
-    tables = _prefix_tables(a, max_states)
+    tables = _prefix_tables(a)
     tables.explore(a.alphabet)  # every table, so the memo holds every move
     end = _end_table(a)
     accepting = frozenset(t for t, b in enumerate(tables.tables) if _compose(b, end))
@@ -451,8 +451,8 @@ def comm_matrix(
     is unaffected.
     """
     prefixes, suffixes = tuple(prefixes), tuple(suffixes)
-    rows, row_firsts, row_ids = _read(_prefix_tables(a, MAX_TABLES), prefixes)
-    cols, col_firsts, col_ids = _read(_suffix_tables(a, MAX_TABLES), (v[::-1] for v in suffixes))
+    rows, row_firsts, row_ids = _read(_prefix_tables(a), prefixes)
+    cols, col_firsts, col_ids = _read(_suffix_tables(a), (v[::-1] for v in suffixes))
     composed = _composed(rows, cols)
     if dedup:
         # tables in order of their first label, so that label is the one kept
@@ -470,7 +470,7 @@ def distinct_comm_matrix(a: TwoWayDFA, prefix_len: int, suffix_len: int) -> Comm
     Shape, row labels, set of columns and rank are the same; a column's
     label is the suffix whose reversal is shortlex-least.
     """
-    rows, cols = _prefix_tables(a, MAX_TABLES), _suffix_tables(a, MAX_TABLES)
+    rows, cols = _prefix_tables(a), _suffix_tables(a)
     row_words = rows.explore(a.alphabet, prefix_len)
     col_words = [w[::-1] for w in cols.explore(a.alphabet, suffix_len)]
     return _distinct(_composed(rows.tables, cols.tables), row_words, col_words)

@@ -142,67 +142,29 @@ class RimHook:
         return -1 if self.leg_length % 2 else 1
 
 
-def rim_cells(lam: Partition) -> list[tuple[int, int]]:
-    """The rim of the diagram, ordered bottom-left to top-right.
-
-    A cell (i, j) is on the rim when (i+1, j+1) is outside the diagram.
-    Consecutive rim cells differ by one north or east step, so they sit on
-    consecutive diagonals i - j.
-    """
-    if not lam:
-        return []
-    m = len(lam)
-    out = []
-    for d in range(m - 1, -lam[0], -1):
-        best = None
-        for i in range(m):
-            j = i - d
-            if 0 <= j < lam[i] and (best is None or j > best[1]):
-                best = (i, j)
-        out.append(best)
-    return out
-
-
-def _remove_cells(lam: Partition, removed: frozenset[tuple[int, int]]) -> Partition | None:
-    """Partition left after deleting ``removed``, or None if not a diagram.
-
-    Valid only when the removed cells form a suffix of each touched row and
-    the shortened rows still decrease weakly.
-    """
-    new = list(lam)
-    by_row: dict[int, list[int]] = {}
-    for i, j in removed:
-        by_row.setdefault(i, []).append(j)
-    for i, cols in by_row.items():
-        cols.sort()
-        if cols != list(range(cols[0], lam[i])):
-            return None
-        new[i] = cols[0]
-    for a, b in zip(new, new[1:]):
-        if a < b:
-            return None
-    while new and new[-1] == 0:
-        new.pop()
-    return tuple(new)
-
-
 def rim_hooks(lam: Partition, length: int) -> list[RimHook]:
-    """Every rim hook of ``lam`` with exactly ``length`` cells.
+    """Every rim hook of ``lam`` with exactly ``length`` cells, bottom-left first.
 
-    Rim hooks are contiguous windows of the rim path, so candidates are
-    enumerated by their start position and validated by removal.
+    With m = len(lam), row i has the bead b = lam[i] + m - 1 - i on the
+    abacus; removing a rim hook of length r is moving one bead b to an empty
+    position b - r >= 0 (James & Kerber, *The Representation Theory of the
+    Symmetric Group*, 1981, 2.7).  The moved beads, read back, give the
+    remainder; the cells are lam minus the remainder; the leg length is the
+    number of beads strictly between b - r and b.
     """
     if length < 1:
         raise ValueError("rim hook length must be positive")
-    path = rim_cells(lam)
+    m = len(lam)
+    beads = [part + m - 1 - i for i, part in enumerate(lam)]
     out = []
-    for start in range(len(path) - length + 1):
-        window = frozenset(path[start:start + length])
-        remainder = _remove_cells(lam, window)
-        if remainder is None:
+    for b in reversed(beads):
+        if b < length or b - length in beads:
             continue
-        rows = {i for i, _ in window}
-        out.append(RimHook(lam, window, len(rows) - 1, remainder))
+        moved = sorted([c for c in beads if c != b] + [b - length], reverse=True)
+        parts = [c - (m - 1 - i) for i, c in enumerate(moved)]
+        cells = frozenset((i, j) for i in range(m) for j in range(parts[i], lam[i]))
+        leg_length = sum(b - length < c < b for c in beads)
+        out.append(RimHook(lam, cells, leg_length, tuple(p for p in parts if p)))
     return out
 
 

@@ -78,21 +78,21 @@ def test_class_sums_are_central(n):
 
 
 def _commutes_with_every_basis_element(a):
-    # the dict-based products as the reference for the vectorised check
+    # products with the whole group as the reference for the two-generator check
     return all(ga.basis(x) * a == a * ga.basis(x) for x in perms.all_perms(a.degree))
 
 
-@pytest.mark.parametrize("chunk", [ga._CHUNK, 7])
-def test_is_central_matches_elementwise_products(monkeypatch, chunk):
+def test_is_central_matches_elementwise_products():
     from permrank import young
-
-    monkeypatch.setattr(ga, "_CHUNK", chunk)
 
     rng = random.Random(11)
     cases = [ga.GroupAlgebraElement(3, {})]
     # the transposition class with unequal coefficients: x . a and a . x
     # have the same support for every x, only the coefficients differ
     cases.append(ga.GroupAlgebraElement(3, {(1, 0, 2): 1, (2, 1, 0): 2, (0, 2, 1): 3}))
+    # each commutes with exactly one of the generators (1 2) and (1 2 ... n)
+    cases.append(ga.basis(perms.from_cycles(3, (1, 2, 3))))
+    cases.append(ga.basis(perms.from_cycles(4, (1, 2))))
     for n in (1, 2, 3, 4):
         for _ in range(10):
             cases.append(random_element(rng, n, support=rng.randint(0, 6)))
@@ -106,6 +106,10 @@ def test_is_central_matches_elementwise_products(monkeypatch, chunk):
     verdicts = [ga.is_central(a) for a in cases]
     assert verdicts == [_commutes_with_every_basis_element(a) for a in cases]
     assert True in verdicts and False in verdicts
+    # beyond the group-enumeration cap, where the reference cannot go
+    assert ga.is_central(ga.cyclic_class_sum(9))
+    with pytest.raises(ValueError):
+        ga.is_central(ga.GroupAlgebraElement(0, {}))
 
 
 def test_associativity_and_distributivity_spot_checks():

@@ -1,4 +1,3 @@
-import inspect
 import json
 import random
 from functools import reduce
@@ -383,7 +382,7 @@ def test_explored_words_are_shortlex_least():
     rng = random.Random(97)
     for i in range(60):
         machine = random_automaton(rng, n_states=1 + i % 5)
-        tables = twoway._prefix_tables(machine, twoway.MAX_TABLES)
+        tables = twoway._prefix_tables(machine)
         words = tables.explore(machine.alphabet, 5)
         first = {}
         for w in all_strings(machine.alphabet, 5):
@@ -392,13 +391,13 @@ def test_explored_words_are_shortlex_least():
         assert [first[t] for t in range(len(words))] == words
 
 
-def test_to_dfa_refuses_more_tables_than_its_budget():
+def test_to_dfa_refuses_more_tables_than_its_budget(monkeypatch):
     machine = random_automaton(random.Random(2), n_states=5)
-    n = to_dfa(machine).n_states
-    assert n == 8 and to_dfa(machine, max_states=n).n_states == n
-    with pytest.raises(ValueError, match=f"crossing-table budget {n - 1} exceeded"):
-        to_dfa(machine, max_states=n - 1)
-    assert inspect.signature(to_dfa).parameters["max_states"].default == twoway.MAX_TABLES
+    monkeypatch.setattr(twoway, "MAX_TABLES", 8)
+    assert to_dfa(machine).n_states == 8
+    monkeypatch.setattr(twoway, "MAX_TABLES", 7)
+    with pytest.raises(ValueError, match="crossing-table budget 7 exceeded"):
+        to_dfa(machine)
 
 
 def test_comm_matrix_refuses_more_tables_than_the_budget(last_a, monkeypatch):

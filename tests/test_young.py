@@ -1,7 +1,6 @@
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
 
 from permrank import young
 
@@ -201,10 +200,10 @@ def test_remove_rim_hook_rejects_foreign_hook():
         young.remove_rim_hook((3, 2), bad)
 
 
-@given(st.integers(min_value=1, max_value=9))
-def test_rim_path_is_contiguous(n):
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rim_hooks_are_complete(n):
+    # one r-rim hook per cell of hook length r: the cell's hook, slid to the rim
     for lam in young.partitions(n):
-        path = young.rim_cells(lam)
-        assert len(path) == len(lam) + lam[0] - 1
-        for (i1, j1), (i2, j2) in zip(path, path[1:]):
-            assert (i2, j2) in ((i1 - 1, j1), (i1, j1 + 1))
+        lengths = [h for row in young.hook_lengths(lam) for h in row]
+        for r in range(1, n + 1):
+            assert len(young.rim_hooks(lam, r)) == lengths.count(r)
