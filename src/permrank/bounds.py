@@ -29,29 +29,30 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def _weighted_sum(n: int, weight) -> int:
+    """Sum of C(n,k-1) * C(n,k) * weight(k) over k = 1..n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return sum(binomial(n, k - 1) * binomial(n, k) * weight(k) for k in range(1, n + 1))
+
+
 def bound_new(n: int) -> int:
     """Sum of C(n,k-1) * C(n,k) * C(2k-2,k-1) over k = 1..n.
 
     This is the exact rank of the communication matrix for n-state two-way
     DFAs, hence the lower bound on the one-way unambiguous state count.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return sum(binomial(n, k - 1) * binomial(n, k) * binomial(2 * k - 2, k - 1) for k in range(1, n + 1))
+    return _weighted_sum(n, lambda k: binomial(2 * k - 2, k - 1))
 
 
 def bound_earlier(n: int) -> int:
     """Sum of C(n,k-1) * C(n,k) * 2**(k-1) over k = 1..n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return sum(binomial(n, k - 1) * binomial(n, k) * 2 ** (k - 1) for k in range(1, n + 1))
+    return _weighted_sum(n, lambda k: 2 ** (k - 1))
 
 
 def bound_upper(n: int) -> int:
     """Sum of C(n,k-1) * C(n,k) * k! over k = 1..n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return sum(binomial(n, k - 1) * binomial(n, k) * factorial(k) for k in range(1, n + 1))
+    return _weighted_sum(n, factorial)
 
 
 def dfa_bound(n: int) -> int:

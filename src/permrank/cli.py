@@ -16,6 +16,7 @@ import time
 import mpmath
 
 from . import bounds, characters, permmatrix, twoway, verify
+from .young import check_partition, partitions
 
 #: Longest string 2dfa commrank samples.
 MAX_SAMPLED_LENGTH = 64
@@ -46,8 +47,6 @@ def _parse_partition(text: str) -> tuple[int, ...]:
         parts = tuple(int(p) for p in text.split(",") if p.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}; expected e.g. 2,1")
-    from .young import check_partition
-
     try:
         return check_partition(parts)
     except ValueError as exc:
@@ -62,18 +61,9 @@ def _partition_label(parts) -> str:
 def _cmd_rank(args) -> int:
     expected = bounds.binomial(2 * args.k - 2, args.k - 1)
     t0 = time.perf_counter()
-    try:
-        if args.dump_pbm:
-            permmatrix.write_pbm(permmatrix.cycle_product_matrix(args.k), args.dump_pbm)
-        cert = permmatrix.certified_rank(
-            args.k,
-            method=args.method,
-            num_primes=args.primes,
-            seed=args.seed,
-        )
-    except (ValueError, OSError, permmatrix.PrimeDisagreement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.dump_pbm:
+        permmatrix.write_pbm(permmatrix.cycle_product_matrix(args.k), args.dump_pbm)
+    cert = permmatrix.certified_rank(args.k, method=args.method, num_primes=args.primes, seed=args.seed)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     payload = {
         "k": args.k,
@@ -107,11 +97,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = verify.run_suite(args.suite, quick=args.quick, max_n=args.n, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = verify.run_suite(args.suite, max_n=args.n, seed=args.seed)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
@@ -144,22 +130,12 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    try:
-        print(characters.character(args.shape, args.alpha))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(characters.character(args.shape, args.alpha))
     return 0
 
 
 def _cmd_chartable(args) -> int:
-    try:
-        table = characters.character_table(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    from .young import partitions
-
+    table = characters.character_table(args.n)
     shapes = partitions(args.n)
     classes = list(reversed(shapes))
     sep = "," if args.format == "csv" else "\t"
@@ -182,53 +158,28 @@ def _cmd_2dfa(args) -> int:
         print(f"error: cannot load automaton: {exc}", file=sys.stderr)
         return 2
     if args.twoway_command == "run":
-        try:
-            if args.trace:
-                outcome, steps = twoway.run(automaton, args.word, trace=True)
-                for state, pos in steps:
-                    print(f"{state} @ {pos}")
-            else:
-                outcome = twoway.run(automaton, args.word)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        if args.trace:
+            outcome, steps = twoway.run(automaton, args.word, trace=True)
+            for state, pos in steps:
+                print(f"{state} @ {pos}")
+        else:
+            outcome = twoway.run(automaton, args.word)
         print(outcome.value)
         return 0
     # commrank: rank the distinct part, composed from the reachable tables only
     for flag, length in (("--prefix-len", args.prefix_len), ("--suffix-len", args.suffix_len)):
         if length > MAX_SAMPLED_LENGTH:
-            message = f"{flag} {length} is above the limit of {MAX_SAMPLED_LENGTH}"
-            print(f"error: {message}", file=sys.stderr)
-            return 2
-    try:
-        distinct = twoway.distinct_comm_matrix(automaton, args.prefix_len, args.suffix_len)
-        rank = permmatrix.rank_exact(distinct.entries)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"{flag} {length} is above the limit of {MAX_SAMPLED_LENGTH}")
+    distinct = twoway.distinct_comm_matrix(automaton, args.prefix_len, args.suffix_len)
+    rank = permmatrix.rank_exact(distinct.entries)
     dedup_rows, dedup_cols = len(distinct.prefixes), len(distinct.suffixes)
     k = len(automaton.alphabet)
-    sampled = [sum(k**i for i in range(n + 1)) for n in (args.prefix_len, args.suffix_len)]
-    rows, cols = (dedup_rows, dedup_cols) if args.dedup else sampled
+    rows, cols = (sum(k**i for i in range(n + 1)) for n in (args.prefix_len, args.suffix_len))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "prefix_len": args.prefix_len,
-                    "suffix_len": args.suffix_len,
-                    "rows": rows,
-                    "cols": cols,
-                    "rank": rank,
-                    "dedup_rows": dedup_rows,
-                    "dedup_cols": dedup_cols,
-                }
-            )
-        )
+        print(json.dumps({"prefix_len": args.prefix_len, "suffix_len": args.suffix_len, "rows": rows,
+                          "cols": cols, "rank": rank, "dedup_rows": dedup_rows, "dedup_cols": dedup_cols}))
     else:
-        print(
-            f"communication matrix {rows}x{cols} "
-            f"(distinct {dedup_rows}x{dedup_cols}), rank {rank}"
-        )
+        print(f"communication matrix {rows}x{cols} (distinct {dedup_rows}x{dedup_cols}), rank {rank}")
     return 0
 
 
@@ -266,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the other suites take no degree and refuse --n, and with --suite all it "
         "applies only to the suites listed",
     )
-    p.add_argument("--quick", action="store_true", help="cap degrees at 6 and shrink samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
@@ -304,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-a", "--automaton", required=True)
     c.add_argument("--prefix-len", type=_int_at_least(0), default=4)
     c.add_argument("--suffix-len", type=_int_at_least(0), default=4)
-    c.add_argument("--dedup", action="store_true")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_2dfa)
 
@@ -312,8 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every refusal it raises becomes one line and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, permmatrix.PrimeDisagreement) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Named verification suites with machine-readable reports.
 
 Each suite re-derives one family of claims by direct computation and
-compares against frozen expectations or cross-computed values.  Reports
+compares against frozen expectations or cross-computed values.  One table,
+``SUITES``, names every suite in run order with its default degree;
+``run_suite`` calls ``_suite_<name>(report, max_n, seed)`` from it.  Reports
 carry every failing case; an empty failure list is the pass condition and
 maps to exit code 0 in the CLI.
 """
@@ -15,16 +17,10 @@ from math import factorial
 
 from . import bounds, characters, group_algebra, permmatrix, reference_data, twoway, young
 
-SUITES = (
-    "centrality",
-    "operator",
-    "characters",
-    "hooks",
-    "dims",
-    "table1",
-    "asym",
-    "automata",
-)
+#: Every suite, in run order, with its default degree; None for the suites
+#: that take no degree.
+SUITES = {"centrality": 6, "operator": 5, "characters": 8, "hooks": 10, "dims": 10,
+          "table1": None, "asym": None, "automata": None}
 
 #: Largest degree (--n) of each suite that takes one: the cap of the functions
 #: it calls (operator, characters), or about 20 s of work on a 2-core x86-64
@@ -32,6 +28,10 @@ SUITES = (
 #: 18.5 s; dims 47: 18 s).  The other suites take no degree and refuse one;
 #: under 'all' it applies only to the suites here.
 MAX_DEGREE = {"centrality": 10, "operator": 6, "characters": 10, "hooks": 50, "dims": 47}
+
+#: Bound at import, so it reaches the memo even where ``characters.character``
+#: is later rebound to a wrapper.
+_clear_character_cache = characters.character.cache_clear
 
 
 @dataclass
@@ -78,7 +78,7 @@ class VerifyReport:
         return lines
 
 
-def _suite_centrality(report: VerifyReport, max_n: int) -> None:
+def _suite_centrality(report: VerifyReport, max_n: int, seed: int) -> None:
     for n in range(1, max_n + 1):
         report.check(
             f"cyclic class sum central, degree {n}",
@@ -94,7 +94,7 @@ def _suite_centrality(report: VerifyReport, max_n: int) -> None:
     )
 
 
-def _suite_operator(report: VerifyReport, max_n: int) -> None:
+def _suite_operator(report: VerifyReport, max_n: int, seed: int) -> None:
     for n in range(1, max_n + 1):
         direct = permmatrix.cycle_quotient_matrix(n)
         operator = permmatrix.left_multiplication_matrix(n)
@@ -112,7 +112,7 @@ def _suite_operator(report: VerifyReport, max_n: int) -> None:
         )
 
 
-def _suite_characters(report: VerifyReport, max_n: int) -> None:
+def _suite_characters(report: VerifyReport, max_n: int, seed: int) -> None:
     report.check(
         "character table, degree 3",
         reference_data.CHARACTER_TABLE_3,
@@ -156,7 +156,7 @@ def _suite_characters(report: VerifyReport, max_n: int) -> None:
         )
 
 
-def _suite_hooks(report: VerifyReport, max_n: int) -> None:
+def _suite_hooks(report: VerifyReport, max_n: int, seed: int) -> None:
     for n in range(1, max_n + 1):
         bad = []
         for lam in young.partitions(n):
@@ -171,9 +171,10 @@ def _suite_hooks(report: VerifyReport, max_n: int) -> None:
             bad,
             "nonzero exactly on hook shapes, value (-1)**(rows-1)",
         )
+        _clear_character_cache()  # no later degree reads them; 1..40 would keep 215 308
 
 
-def _suite_dims(report: VerifyReport, max_n: int) -> None:
+def _suite_dims(report: VerifyReport, max_n: int, seed: int) -> None:
     for n in range(1, max_n + 1):
         report.check(
             f"sum of squared dimensions, degree {n}",
@@ -195,7 +196,7 @@ def _suite_dims(report: VerifyReport, max_n: int) -> None:
         )
 
 
-def _suite_table1(report: VerifyReport) -> None:
+def _suite_table1(report: VerifyReport, max_n: None, seed: int) -> None:
     for n, (earlier, new, upper) in reference_data.BOUNDS_TABLE.items():
         report.check(
             f"bound table row {n}",
@@ -205,7 +206,7 @@ def _suite_table1(report: VerifyReport) -> None:
         )
 
 
-def _suite_asym(report: VerifyReport) -> None:
+def _suite_asym(report: VerifyReport, max_n: None, seed: int) -> None:
     import mpmath
 
     deviations = []
@@ -236,11 +237,11 @@ def _suite_asym(report: VerifyReport) -> None:
     )
 
 
-def _suite_automata(report: VerifyReport, machines: int = 100, seed: int = 0) -> None:
+def _suite_automata(report: VerifyReport, max_n: None, seed: int) -> None:
     rng = random.Random(seed)
     strings = twoway.all_strings("ab", 6)
     samples = twoway.all_strings("ab", 3)
-    for i in range(machines):
+    for i in range(100):
         automaton = twoway.random_automaton(rng, n_states=3)
         dfa = twoway.to_dfa(automaton)
         mismatches = [w for w in strings if dfa.accepts(w) != twoway.accepts(automaton, w)]
@@ -265,63 +266,30 @@ def _suite_automata(report: VerifyReport, machines: int = 100, seed: int = 0) ->
         )
 
 
-def run_suite(
-    name: str,
-    *,
-    quick: bool = False,
-    max_n: int | None = None,
-    seed: int = 0,
-) -> VerifyReport:
+def run_suite(name: str, *, max_n: int | None = None, seed: int = 0) -> VerifyReport:
     """Run one named suite (or 'all') and return its report.
 
     A max_n above a suite's MAX_DEGREE, or for a suite that takes no degree,
     raises ValueError before any work; 'all' passes it only to the suites
     that take one.
     """
-    if max_n is not None and name in SUITES and name not in MAX_DEGREE:
-        raise ValueError(
-            f"the {name} suite takes no degree; --n applies to {', '.join(MAX_DEGREE)}"
-        )
-    for suite in SUITES if name == "all" else (name,):
-        cap = MAX_DEGREE.get(suite)
-        if max_n is not None and cap is not None and max_n > cap:
-            raise ValueError(f"degree {max_n} is above the {suite} suite's cap of {cap}")
-    if name == "all":
-        merged = VerifyReport("all")
-        t0 = time.perf_counter()
-        for sub in SUITES:
-            sub_n = max_n if sub in MAX_DEGREE else None
-            sub_report = run_suite(sub, quick=quick, max_n=sub_n, seed=seed)
-            merged.cases += sub_report.cases
-            merged.failures.extend(sub_report.failures)
-        merged.elapsed_s = time.perf_counter() - t0
-        return merged
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-
-    cap = 6 if quick else None
-
-    def limit(default: int) -> int:
-        n = max_n if max_n is not None else default
-        return min(n, cap) if cap is not None else n
-
+    if max_n is not None:
+        if name != "all" and name not in MAX_DEGREE:
+            raise ValueError(f"the {name} suite takes no degree; --n applies to {', '.join(MAX_DEGREE)}")
+        for suite, cap in MAX_DEGREE.items():
+            if name in (suite, "all") and max_n > cap:
+                raise ValueError(f"degree {max_n} is above the {suite} suite's cap of {cap}")
     report = VerifyReport(name)
     t0 = time.perf_counter()
-    if name == "centrality":
-        _suite_centrality(report, limit(6))
-    elif name == "operator":
-        _suite_operator(report, limit(5))
-    elif name == "characters":
-        _suite_characters(report, limit(8))
-    elif name == "hooks":
-        _suite_hooks(report, limit(10))
-    elif name == "dims":
-        _suite_dims(report, limit(10))
-    elif name == "table1":
-        _suite_table1(report)
-    elif name == "asym":
-        _suite_asym(report)
-    elif name == "automata":
-        _suite_automata(report, machines=25 if quick else 100, seed=seed)
+    if name == "all":
+        for sub, default in SUITES.items():
+            sub_report = run_suite(sub, max_n=None if default is None else max_n, seed=seed)
+            report.cases += sub_report.cases
+            report.failures.extend(sub_report.failures)
+    else:
+        n = SUITES[name] if max_n is None else max_n
+        globals()[f"_suite_{name}"](report, n, seed)
     report.elapsed_s = time.perf_counter() - t0
     return report

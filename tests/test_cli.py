@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrank import cli, permmatrix, twoway, verify
+from permrank import characters, cli, permmatrix, twoway, verify, young
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,12 +94,6 @@ def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "nonsense"])
     capsys.readouterr()
-
-
-def test_verify_quick_automata(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "automata", "--quick")
-    assert code == 0
-    assert "75 cases" in out  # 25 machines x 3 checks
 
 
 def test_bound_markdown(capsys):
@@ -239,9 +233,6 @@ def test_2dfa_commrank_prefix_nine_ranks_the_distinct_part(capsys):
         "prefix_len": 9, "suffix_len": 4, "rows": 1023, "cols": 31, "rank": 2,
         "dedup_rows": 2, "dedup_cols": 3,
     }
-    code, out, _ = run_cli(capsys, *argv, "--dedup", "--json")
-    payload = json.loads(out)
-    assert (payload["rows"], payload["cols"]) == (payload["dedup_rows"], payload["dedup_cols"]) == (2, 3)
 
 
 def test_2dfa_commrank_over_the_cap_exits_2_with_one_line(capsys):
@@ -370,8 +361,30 @@ def test_verify_all_passes_the_degree_only_to_suites_that_take_one(monkeypatch):
         monkeypatch.setattr(verify, f"_suite_{name}",
                             lambda report, *a, name=name, **k: seen.setdefault(name, a))
     assert verify.run_suite("all", max_n=3).ok
-    assert seen == {**{name: (3,) for name in verify.MAX_DEGREE},
-                    "table1": (), "asym": (), "automata": ()}
+    assert seen == {**{name: (3, 0) for name in verify.MAX_DEGREE},
+                    "table1": (None, 0), "asym": (None, 0), "automata": (None, 0)}
+
+
+def test_verify_hooks_keeps_at_most_one_degree_of_characters():
+    assert verify.run_suite("hooks", max_n=20).ok
+    assert characters.character.cache_info().currsize <= young.partition_count(20) + 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--k", "9"], "degree must be in 1..8, got 9"),
+    (["verify", "--suite", "hooks", "--n", "51"], "degree 51 is above the hooks suite's cap of 50"),
+    (["char", "--lambda", "2,1", "--alpha", "2"], "weight mismatch: (2, 1) vs (2,)"),
+    (["chartable", "11"], "degree must be in 1..10, got 11"),
+    (["2dfa", "run", "-a", str(DATA / "last_a.json"), "-w", "az"],
+     "symbol 'z' not in the automaton's alphabet"),
+    (["2dfa", "commrank", "-a", str(DATA / "tenth_from_end.json"), "--prefix-len", "9",
+      "--suffix-len", "2"], "crossing-table budget 100 exceeded"),
+])
+def test_each_command_refuses_through_main_with_one_line(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(twoway, "MAX_TABLES", 100)  # only 2dfa commrank walks the tables
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 _JSON = st.recursive(
@@ -448,7 +461,7 @@ _COMMANDS = {  # flags and their values; the first ones listed are the required 
     ("rank",): {"--k": [*_NUMBERS, "6"], "--method": ["auto", "exact", "modp", "fast"],
                 "--primes": _NUMBERS, "--seed": _NUMBERS, "--dump-pbm": ["PBM", "no/such/dir/x.pbm"],
                 "--json": None},
-    ("verify",): {"--suite": [*verify.SUITES, "all", "nope"], "--n": _NUMBERS, "--quick": None,
+    ("verify",): {"--suite": [*verify.SUITES, "all", "nope"], "--n": _NUMBERS,
                   "--seed": _NUMBERS, "--json": None},
     ("bound",): {"--max": _NUMBERS, "--format": ["plain", "csv", "json", "markdown", "xml"]},
     ("char",): {"--lambda": _PARTITIONS, "--alpha": _PARTITIONS},
@@ -456,7 +469,7 @@ _COMMANDS = {  # flags and their values; the first ones listed are the required 
     ("asym",): {"--n": _NUMBERS, "--digits": _NUMBERS},
     ("2dfa", "run"): {"-a": _AUTOMATA, "-w": ["", "ab", "ba", "zz"], "--trace": None},
     ("2dfa", "commrank"): {"-a": _AUTOMATA, "--prefix-len": _NUMBERS, "--suffix-len": _NUMBERS,
-                           "--dedup": None, "--json": None},
+                           "--json": None},
 }
 _REQUIRED = {("rank",): 1, ("verify",): 1, ("char",): 2, ("chartable",): 1, ("asym",): 1,
              ("2dfa", "run"): 2, ("2dfa", "commrank"): 1}
