@@ -12,7 +12,7 @@ from permrank import (
     TwoWayDFA,
     accepts,
     all_strings,
-    comm_matrix,
+    distinct_comm_matrix,
     prefix_behavior,
     random_automaton,
     run,
@@ -47,11 +47,12 @@ dfa = to_dfa(last_a)
 print(f"one-way DFA: {dfa.n_states} states, minimized {dfa.minimize().n_states}")
 assert all(dfa.accepts(w) == accepts(last_a, w) for w in all_strings("ab", 8))
 
-# The communication matrix over sampled prefixes/suffixes: entry (u, v)
-# records acceptance of the concatenation.  Its exact rank lower-bounds the
-# size of every unambiguous one-way automaton for the language.
+# The communication matrix over all prefixes/suffixes up to length 3: entry
+# (u, v) records acceptance of the concatenation.  Its exact rank
+# lower-bounds the size of every unambiguous one-way automaton for the
+# language.
 samples = all_strings("ab", 3)
-matrix = comm_matrix(last_a, samples, samples, dedup=True)
+matrix = distinct_comm_matrix(last_a, 3, 3)
 print(f"deduplicated communication matrix: {matrix.entries.shape}")
 print(matrix.entries)
 print(f"rank (hence unambiguous-automaton lower bound): "

@@ -64,6 +64,7 @@ from .twoway import (
     accepts,
     all_strings,
     comm_matrix,
+    distinct_comm_matrix,
     prefix_behavior,
     random_automaton,
     run,

@@ -21,6 +21,15 @@ from .young import check_partition, partitions
 #: Longest string 2dfa commrank samples.
 MAX_SAMPLED_LENGTH = 64
 
+#: Largest values of the flags whose work grows without bound, each under
+#: about 20 s on a 2-core x86-64 host, as verify.MAX_DEGREE: bound --max 650
+#: took 17.0 s, asym --n 5000 --digits 200000 17.3 s, and rank --k 8 --primes 30
+#: 17.2 s.  The library functions take any value.
+MAX_BOUND_ROWS = 650
+MAX_ASYM_N = 5000
+MAX_ASYM_DIGITS = 200_000
+MAX_PRIMES = 30
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one line on stderr and exits with status 2."""
@@ -29,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -37,6 +46,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -59,12 +70,12 @@ def _partition_label(parts) -> str:
 
 
 def _cmd_rank(args) -> int:
-    expected = bounds.binomial(2 * args.k - 2, args.k - 1)
     t0 = time.perf_counter()
     if args.dump_pbm:
         permmatrix.write_pbm(permmatrix.cycle_product_matrix(args.k), args.dump_pbm)
     cert = permmatrix.certified_rank(args.k, method=args.method, num_primes=args.primes, seed=args.seed)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    expected = bounds.binomial(2 * args.k - 2, args.k - 1)  # after the degree check
     payload = {
         "k": args.k,
         "rank": cert.rank,
@@ -199,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("auto", "exact", "modp"), default="auto")
     p.add_argument(
-        "--primes", type=_int_at_least(1), default=3, help="primes for the modular method"
+        "--primes", type=_int_at_least(1, MAX_PRIMES), default=3, help="primes for the modular method"
     )
     p.add_argument("--seed", type=int, default=None, help="seed for prime sampling")
     p.add_argument("--dump-pbm", metavar="PATH", default=None, help="also write the matrix as a PBM image")
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bound", help="print the bound table")
-    p.add_argument("--max", type=_int_at_least(1), default=10)
+    p.add_argument("--max", type=_int_at_least(1, MAX_BOUND_ROWS), default=10)
     p.add_argument("--format", choices=("plain", "csv", "json", "markdown"), default="plain")
     p.set_defaults(func=_cmd_bound)
 
@@ -239,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chartable)
 
     p = sub.add_parser("asym", help="ratio of the bound to its asymptotic form")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--digits", type=_int_at_least(1), default=30)
+    p.add_argument("--n", type=_int_at_least(1, MAX_ASYM_N), required=True)
+    p.add_argument("--digits", type=_int_at_least(1, MAX_ASYM_DIGITS), default=30)
     p.set_defaults(func=_cmd_asym)
 
     p = sub.add_parser("2dfa", help="two-way automaton tools")

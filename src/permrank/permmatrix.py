@@ -90,6 +90,9 @@ numba, mpz = None, int
 #: Order cap for one exact elimination (rank_exact, or the largest block of the exact certificate).
 MAX_EXACT_ORDER = 1000
 
+#: Largest degree of left_multiplication_matrix (order 720).
+MAX_OPERATOR_DEGREE = 6
+
 _PRIME_LOW = 1 << 29
 _PRIME_HIGH = 1 << 31
 
@@ -194,8 +197,8 @@ def left_multiplication_matrix(n: int) -> BinaryMatrix:
     the direct constructors, so equality with cycle_quotient_matrix is a
     meaningful check rather than a restatement.
     """
-    if not 1 <= n <= 6:
-        raise ValueError(f"degree must be in 1..6, got {n}")
+    if not 1 <= n <= MAX_OPERATOR_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_OPERATOR_DEGREE}, got {n}")
     order = factorial(n)
     q = group_algebra.cyclic_class_sum(n)
     dense = np.zeros((order, order), dtype=np.uint8)

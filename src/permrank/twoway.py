@@ -10,28 +10,34 @@ number of distinct configurations, |states| * (|w| + 2).  Transitions on
 the left endmarker must move right and transitions on the right endmarker
 must move left, so the head never leaves the tape.
 
-The one-way simulation summarizes a prefix u by its crossing table: the
-outcome of the computation entering from the left, and for each state q the
-outcome after re-entering the last cell of "<u" in state q moving left.  An
-outcome is either "exits to the right in state s", or "halted accepting
-inside", or "halted rejecting / looped inside".  Distinguishing the two
-internal-halt outcomes matters: a machine that halts accepting inside u
-accepts u·v for every v.
+A string is summarized by its crossing table (Shepherdson, IBM J. Res. Dev.
+3(2), 1959).  The table of a prefix "<u" gives, for each state q
+re-entering its last cell moving left, the outcome: "exits to the right in
+state s", "halted accepting inside", or "halted rejecting / looped inside";
+beside it sits the outcome of the computation started on "<".  A suffix
+"v>" has the mirror table: for each state entering its first cell from the
+left, "exits to the left in state s" or one of the two halts.  The two
+halts differ: a machine that halts accepting inside u accepts u·v for
+every v.
 
-A suffix v has the mirror table: for each state q entering the first cell of
-"v>" from the left, "exits to the left in state s", or one of the two
-internal-halt outcomes.  The table of the bare ">" says what each state does
-on the right endmarker, and "cv>" is built from "v>" one cell at a time, as
-a prefix table is extended.  Whether u·v is accepted is then the composition
-of the two tables: follow the bounces across the u|v boundary from the
-prefix's left-entry outcome until one side halts, or a state repeats at the
-boundary (a loop).  Strings with equal tables have equal rows (or columns),
-so the distinct rows of the matrix over all strings up to a length are those
-of the prefix tables reachable within it, and a communication matrix costs
-one composition per pair of distinct tables, not one simulation per entry.
-One explorer walks the tables for every caller and runs each (table, symbol)
-step once; breadth-first in alphabet order, it labels each table with its
-shortlex-least word.  to_dfa's states are the prefix tables it reaches.
+One step makes every table, on both sides of the u|v boundary: a state
+arriving at a new cell c beside a region with table T leaves on the far
+side (its new state is the outcome), halts, or dives into the region and
+comes back as T says, until it leaves, halts or meets c twice in one state
+(a loop).  "<uc" is the step right of "<u" and "cv>" the step left of "v>";
+the endmarkers' tables are the step beside the empty region, as every move
+on "<" goes right and every move on ">" goes left.
+
+Whether u·v is accepted is the composition of the two tables: follow the
+bounces across the boundary from the prefix's left-entry outcome until one
+side halts, or a state repeats at the boundary (a loop).  Strings with
+equal tables have equal rows (or columns), so a matrix costs one
+composition per pair of distinct tables, and its distinct part (the first
+of each distinct row, then the first of each distinct column of those) is
+read off that composition.  One explorer walks the tables for every caller
+and runs each (table, symbol) step once; breadth-first in alphabet order,
+it labels each table with its shortlex-least word.  to_dfa's states are the
+prefix tables it reaches.
 """
 
 from __future__ import annotations
@@ -54,7 +60,9 @@ RIGHT_MARK = ">"
 HALT_ACCEPT = -1
 HALT_REJECT = -2  # halted non-accepting or looped
 
-#: Cap on automaton size for the one-way conversion.
+#: Cap on automaton size for the one-way conversion.  It bounds the cost of
+#: each table step, and up to 5 states reach at most dfa_bound(5) = 10 506
+#: tables, so no conversion within it runs into MAX_TABLES.
 MAX_CONVERT_STATES = 5
 
 #: Most distinct crossing tables one walk may number.
@@ -177,10 +185,7 @@ def run(a: TwoWayDFA, w: str, trace: bool = False):
     The trace lists (state, position) configurations, position 0 being the
     left endmarker.
     """
-    for ch in w:
-        if ch not in a.alphabet:
-            raise ValueError(f"symbol {ch!r} not in the automaton's alphabet")
-    tape = [LEFT_MARK, *w, RIGHT_MARK]
+    tape = [LEFT_MARK, *(_check_symbol(a, ch) for ch in w), RIGHT_MARK]
     budget = len(a.states) * len(tape)
     state, pos = a.initial, 0
     steps = [(state, pos)] if trace else None
@@ -240,13 +245,8 @@ def prefix_behavior(a: TwoWayDFA, u: str) -> Behavior:
 
 
 def _cross_cell(a: TwoWayDFA, symbol: str, q: int, exit_move: str, inner) -> int:
-    """Outcome for state index q arriving at a cell holding ``symbol``.
-
-    Moving ``exit_move`` leaves the region (the outcome is the new state);
-    moving the other way dives into the neighbouring region, whose crossing
-    table ``inner`` gives the state it comes back in, or its halt outcome.
-    The same state at this cell twice is a loop.
-    """
+    """Outcome for state index q arriving at a cell holding ``symbol``, beside
+    a region with crossing table ``inner``; moving ``exit_move`` leaves."""
     seen = set()
     while q not in seen:
         seen.add(q)
@@ -264,33 +264,23 @@ def _cross_cell(a: TwoWayDFA, symbol: str, q: int, exit_move: str, inner) -> int
     return HALT_REJECT  # same state at this cell twice: loop
 
 
-def _check_symbol(a: TwoWayDFA, symbol: str) -> None:
+def _step(a: TwoWayDFA, inner, symbol: str, exit_move: str) -> tuple[int, ...]:
+    """Crossing table of a cell holding ``symbol`` beside a region with table
+    ``inner``, left by moving ``exit_move``; the empty region is ``()``."""
+    return tuple(_cross_cell(a, symbol, q, exit_move, inner) for q in range(len(a.states)))
+
+
+def _check_symbol(a: TwoWayDFA, symbol: str) -> str:
     if symbol not in a.alphabet:
         raise ValueError(f"symbol {symbol!r} not in the automaton's alphabet")
+    return symbol
 
 
 def extend_behavior(a: TwoWayDFA, b: Behavior, symbol: str) -> Behavior:
-    """Crossing table of u·symbol, given the table of u.
-
-    Equals prefix_behavior(a, u + symbol) for every u with table ``b``; the
-    new cell is simulated directly and dives back into the old prefix are
-    resolved through ``b.reentry``.
-    """
-    _check_symbol(a, symbol)
-    entry = b.entry if b.entry < 0 else _cross_cell(a, symbol, b.entry, "R", b.reentry)
-    reentry = tuple(_cross_cell(a, symbol, q, "R", b.reentry) for q in range(len(a.states)))
-    return Behavior(entry, reentry)
-
-
-def _end_table(a: TwoWayDFA) -> tuple[int, ...]:
-    """Suffix table of the bare right endmarker ">" (every move there is left)."""
-    return tuple(_cross_cell(a, RIGHT_MARK, q, "L", ()) for q in range(len(a.states)))
-
-
-def _prepend(a: TwoWayDFA, table: tuple[int, ...], symbol: str) -> tuple[int, ...]:
-    """Suffix table of symbol·v>, given the table of v>."""
-    _check_symbol(a, symbol)
-    return tuple(_cross_cell(a, symbol, q, "L", table) for q in range(len(a.states)))
+    """Crossing table of u·symbol, given the table ``b`` of u: for every such u,
+    prefix_behavior(a, u + symbol)."""
+    reentry = _step(a, b.reentry, _check_symbol(a, symbol), "R")
+    return Behavior(b.entry if b.entry < 0 else reentry[b.entry], reentry)
 
 
 def _compose(b: Behavior, table: tuple[int, ...]) -> bool:
@@ -361,12 +351,12 @@ class _Tables:
     """The distinct tables reached from ``start``, numbered as they are found.
 
     A memo of (number, symbol) -> number runs ``step(table, symbol)`` once
-    per distinct table and symbol; more than ``budget`` tables raise ValueError.
+    per distinct table and symbol; more than MAX_TABLES tables raise ValueError.
     """
 
-    def __init__(self, start, step, budget: int):
+    def __init__(self, start, step):
         self.tables, self._numbers, self.moves = [start], {start: 0}, {}
-        self._step, self._budget = step, budget
+        self._step = step
 
     def move(self, t: int, symbol: str) -> int:
         nxt = self.moves.get((t, symbol))
@@ -374,8 +364,8 @@ class _Tables:
             table = self._step(self.tables[t], symbol)
             nxt = self._numbers.get(table)
             if nxt is None:
-                if len(self.tables) == self._budget:
-                    raise ValueError(f"crossing-table budget {self._budget} exceeded")
+                if len(self.tables) == MAX_TABLES:
+                    raise ValueError(f"crossing-table budget {MAX_TABLES} exceeded")
                 nxt = self._numbers[table] = len(self.tables)
                 self.tables.append(table)
             self.moves[(t, symbol)] = nxt
@@ -399,13 +389,14 @@ class _Tables:
 
 def _prefix_tables(a: TwoWayDFA) -> _Tables:
     n = len(a.states)
-    start = _normalize(prefix_behavior(a, ""), n)
-    return _Tables(start, lambda b, c: _normalize(extend_behavior(a, b, c), n), MAX_TABLES)
+    left = _step(a, (), LEFT_MARK, "R")
+    start = _normalize(Behavior(left[a.state_index(a.initial)], left), n)
+    return _Tables(start, lambda b, c: _normalize(extend_behavior(a, b, c), n))
 
 
 def _suffix_tables(a: TwoWayDFA) -> _Tables:
     """Suffix tables, read right to left: their words are reversed suffixes."""
-    return _Tables(_end_table(a), lambda t, c: _prepend(a, t, c), MAX_TABLES)
+    return _Tables(_step(a, (), RIGHT_MARK, "L"), lambda t, c: _step(a, t, _check_symbol(a, c), "L"))
 
 
 def to_dfa(a: TwoWayDFA) -> DFA:
@@ -419,7 +410,7 @@ def to_dfa(a: TwoWayDFA) -> DFA:
         raise ValueError(f"{len(a.states)} states exceeds the conversion cap {MAX_CONVERT_STATES}")
     tables = _prefix_tables(a)
     tables.explore(a.alphabet)  # every table, so the memo holds every move
-    end = _end_table(a)
+    end = _step(a, (), RIGHT_MARK, "L")
     accepting = frozenset(t for t, b in enumerate(tables.tables) if _compose(b, end))
     return DFA(len(tables.tables), a.alphabet, 0, accepting, tables.moves)
 
@@ -433,55 +424,45 @@ class CommMatrix:
     entries: np.ndarray = field(compare=False)
 
 
-def comm_matrix(
-    a: TwoWayDFA, prefixes, suffixes, dedup: bool = False
-) -> CommMatrix:
+def comm_matrix(a: TwoWayDFA, prefixes, suffixes) -> CommMatrix:
     """Communication matrix over the given sample rows and columns.
 
-    Each prefix is read into its normalized crossing table and each suffix,
-    right to left, into its suffix table; every entry is the composition of
-    the two (see the module docstring).  Strings with equal tables have
-    equal rows (or columns), so the compositions are made once per pair of
-    distinct tables and scattered into the matrix.  The labels may be in any
-    order, repeat, and need not be prefix-closed; a symbol outside the
-    alphabet, or more than MAX_TABLES tables, raises ValueError.
-
-    With dedup=True, duplicate rows and then duplicate columns are removed
-    from the compositions, keeping the first label of each kind; the rank
-    is unaffected.
+    The labels may be in any order, repeat, and need not be prefix-closed;
+    a symbol outside the alphabet, or more than MAX_TABLES tables, raises
+    ValueError.
     """
     prefixes, suffixes = tuple(prefixes), tuple(suffixes)
-    rows, row_firsts, row_ids = _read(_prefix_tables(a), prefixes)
-    cols, col_firsts, col_ids = _read(_suffix_tables(a), (v[::-1] for v in suffixes))
-    composed = _composed(rows, cols)
-    if dedup:
-        # tables in order of their first label, so that label is the one kept
-        r, c = np.argsort(row_firsts), np.argsort(col_firsts)
-        labels = [prefixes[i] for i in row_firsts[r]], [suffixes[j] for j in col_firsts[c]]
-        return _distinct(composed[np.ix_(r, c)], *labels)
+    composed, row_ids, col_ids = _sampled(a, prefixes, suffixes)
     return CommMatrix(prefixes, suffixes, composed[row_ids[:, None], col_ids])
 
 
 def distinct_comm_matrix(a: TwoWayDFA, prefix_len: int, suffix_len: int) -> CommMatrix:
-    """comm_matrix over all strings up to the given lengths, with dedup=True.
-
-    Composes only the tables reachable within the lengths (at most
-    MAX_TABLES a side, else ValueError) and never builds the strings.
-    Shape, row labels, set of columns and rank are the same; a column's
-    label is the suffix whose reversal is shortlex-least.
+    """The distinct part of comm_matrix over all strings up to the given lengths,
+    without building the strings; more than MAX_TABLES tables a side raise
+    ValueError.  A column's label is the suffix whose reversal is shortlex-least.
     """
     rows, cols = _prefix_tables(a), _suffix_tables(a)
     row_words = rows.explore(a.alphabet, prefix_len)
-    col_words = [w[::-1] for w in cols.explore(a.alphabet, suffix_len)]
-    return _distinct(_composed(rows.tables, cols.tables), row_words, col_words)
+    col_words = cols.explore(a.alphabet, suffix_len)
+    composed = _composed(rows.tables, cols.tables)
+    r, c = _distinct(composed)
+    labels = tuple(row_words[i] for i in r), tuple(col_words[j][::-1] for j in c)
+    return CommMatrix(*labels, composed[np.ix_(r, c)])
+
+
+def _sampled(a: TwoWayDFA, prefixes, suffixes):
+    """The composition of the distinct tables of the labels, and per label
+    the index of its table among them."""
+    rows, row_ids = _read(_prefix_tables(a), prefixes)
+    cols, col_ids = _read(_suffix_tables(a), (v[::-1] for v in suffixes))
+    return _composed(rows, cols), row_ids, col_ids
 
 
 def _read(tables: _Tables, words):
-    """The distinct tables of ``words``, the index of the first word of each,
-    and per word the index of its table among them."""
+    """The distinct tables of ``words``, and per word the index of its table among them."""
     ids = np.array([reduce(tables.move, w, 0) for w in words], dtype=np.intp)
-    used, firsts, ids = np.unique(ids, return_index=True, return_inverse=True)
-    return [tables.tables[t] for t in used], firsts, ids
+    used, ids = np.unique(ids, return_inverse=True)
+    return [tables.tables[t] for t in used], ids
 
 
 def _composed(row_tables, col_tables) -> np.ndarray:
@@ -490,24 +471,23 @@ def _composed(row_tables, col_tables) -> np.ndarray:
     ).reshape(len(row_tables), len(col_tables))
 
 
-def _distinct(entries: np.ndarray, row_labels, col_labels) -> CommMatrix:
-    """Keep the first of each distinct row, then of each distinct column, with its label."""
+def _distinct(entries: np.ndarray):
+    """Indices of the first of each distinct row, then of the first of each
+    distinct column of those rows."""
     rows = np.sort(np.unique(entries, axis=0, return_index=True)[1])
     cols = np.sort(np.unique(entries[rows].T, axis=0, return_index=True)[1])
-    labels = tuple(row_labels[i] for i in rows), tuple(col_labels[j] for j in cols)
-    return CommMatrix(*labels, entries[np.ix_(rows, cols)])
+    return rows, cols
 
 
 def schmidt_lower_bound(a: TwoWayDFA, prefixes, suffixes) -> int:
     """Exact rank of the sampled communication matrix.
 
-    Taken over the matrix with duplicate rows and columns removed (the
-    rank is the same), so only the distinct part is held to rank_exact's
-    order cap permmatrix.MAX_EXACT_ORDER.  Lower-bounds the state count of
-    every unambiguous one-way automaton for the language, hence also of
-    every DFA.
+    Only the distinct part is held to rank_exact's order cap
+    permmatrix.MAX_EXACT_ORDER.  Lower-bounds the state count of every
+    unambiguous one-way automaton for the language, hence also of every DFA.
     """
-    return permmatrix.rank_exact(comm_matrix(a, prefixes, suffixes, dedup=True).entries)
+    composed = _sampled(a, prefixes, suffixes)[0]
+    return permmatrix.rank_exact(composed[np.ix_(*_distinct(composed))])
 
 
 def all_strings(alphabet, max_len: int) -> list[str]:

@@ -27,7 +27,8 @@ SUITES = {"centrality": 6, "operator": 5, "characters": 8, "hooks": 10, "dims": 
 #: host (centrality 10: 5.8 s and 267 MB, 11 about ten times that; hooks 50:
 #: 18.5 s; dims 47: 18 s).  The other suites take no degree and refuse one;
 #: under 'all' it applies only to the suites here.
-MAX_DEGREE = {"centrality": 10, "operator": 6, "characters": 10, "hooks": 50, "dims": 47}
+MAX_DEGREE = {"centrality": 10, "operator": permmatrix.MAX_OPERATOR_DEGREE,
+              "characters": characters.MAX_TABLE_DEGREE, "hooks": 50, "dims": 47}
 
 #: Bound at import, so it reaches the memo even where ``characters.character``
 #: is later rebound to a wrapper.

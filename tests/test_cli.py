@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,23 @@ def test_bad_numeric_flags_exit_2_with_one_line(capsys, argv):
     assert out.out == ""
     assert len(out.err.strip().splitlines()) == 1
     assert "error:" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv, flag, limit", [
+    (["bound", "--max", str(cli.MAX_BOUND_ROWS + 1)], "--max", cli.MAX_BOUND_ROWS),
+    (["asym", "--n", str(cli.MAX_ASYM_N + 1)], "--n", cli.MAX_ASYM_N),
+    (["asym", "--n", "10", "--digits", str(cli.MAX_ASYM_DIGITS + 1)], "--digits", cli.MAX_ASYM_DIGITS),
+    (["rank", "--k", "8", "--primes", str(cli.MAX_PRIMES + 1)], "--primes", cli.MAX_PRIMES),
+])
+def test_flags_above_their_limit_exit_2_with_one_line_before_any_work(capsys, argv, flag, limit):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert time.perf_counter() - t0 < 0.5
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.endswith(f": error: argument {flag}: must be at most {limit}, got {limit + 1}\n")
+    assert len(out.err.splitlines()) == 1
 
 
 def test_2dfa_commrank_prefix_nine_ranks_the_distinct_part(capsys):
@@ -454,7 +472,9 @@ def test_deeply_nested_automaton_json_exits_2_with_one_line(capsys, tmp_path):
     assert err == "error: cannot load automaton: JSON nested too deeply\n"
 
 
-_NUMBERS = ["-1", "0", "1", "2", "5", "x", ""]  # every degree drawn stays at 6 or below
+# only --seed and asym --digits (about 2 s of work) take 100000; every other
+# flag, and every degree, must refuse it before any work
+_NUMBERS = ["-1", "0", "1", "2", "5", "100000", "x", ""]
 _PARTITIONS = ["1", "3", "2,1", "4,2", "6", "0", "2,3", "a"]
 _AUTOMATA = [str(DATA / "last_a.json"), str(DATA / "always_accept.json"), str(DATA / "missing.json")]
 _COMMANDS = {  # flags and their values; the first ones listed are the required ones

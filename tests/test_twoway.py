@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from functools import reduce
@@ -202,9 +203,9 @@ def test_comm_matrix_entries(last_a):
 
 
 def test_comm_matrix_dedup(always_accept, last_a):
-    cm = comm_matrix(always_accept, all_strings("ab", 2), all_strings("ab", 2), dedup=True)
+    cm = distinct_comm_matrix(always_accept, 2, 2)
     assert cm.entries.shape == (1, 1)
-    cm2 = comm_matrix(last_a, all_strings("ab", 2), all_strings("ab", 2), dedup=True)
+    cm2 = comm_matrix(last_a, all_strings("ab", 2), all_strings("ab", 2))
     assert permmatrix.rank_exact(cm2.entries) == schmidt_lower_bound(
         last_a, all_strings("ab", 2), all_strings("ab", 2)
     )
@@ -281,8 +282,8 @@ def test_comm_matrix_empty_label_lists_keep_their_shape(last_a):
     assert comm_matrix(last_a, [], []).entries.shape == (0, 0)
     assert comm_matrix(last_a, [], ["a"]).entries.dtype == np.uint8
     # with no rows every column is the same empty column, and vice versa
-    assert comm_matrix(last_a, [], ["", "a", "b"], dedup=True).entries.shape == (0, 1)
-    assert comm_matrix(last_a, ["", "a"], [], dedup=True).entries.shape == (1, 0)
+    assert tuple(map(len, twoway._distinct(np.zeros((0, 3), np.uint8)))) == (0, 1)
+    assert tuple(map(len, twoway._distinct(np.zeros((2, 0), np.uint8)))) == (1, 0)
     assert schmidt_lower_bound(last_a, [], ["a"]) == schmidt_lower_bound(last_a, ["a"], []) == 0
 
 
@@ -303,10 +304,9 @@ def test_comm_matrix_dedup_matches_deduplicated_simulation():
         full = _simulated(machine, prefixes, suffixes)
         rows = _first_of_each(full)
         cols = _first_of_each(full[rows].T)
-        cm = comm_matrix(machine, prefixes, suffixes, dedup=True)
-        assert cm.prefixes == tuple(prefixes[r] for r in rows)
-        assert cm.suffixes == tuple(suffixes[c] for c in cols)
-        assert np.array_equal(cm.entries, full[np.ix_(rows, cols)])
+        got_rows, got_cols = twoway._distinct(full)
+        assert got_rows.tolist() == rows
+        assert got_cols.tolist() == cols
 
 
 def test_comm_matrix_long_labels_do_not_recurse(last_a):
@@ -348,7 +348,7 @@ def test_schmidt_bound_caps_only_the_distinct_part():
     for w in all_strings("ab", 12)[::7]:
         assert accepts(machine, w) == (len(w) >= 10 and w[-10] == "a")
     prefixes, suffixes = all_strings("ab", 10), all_strings("ab", 9)
-    cm = comm_matrix(machine, prefixes, suffixes, dedup=True)
+    cm = distinct_comm_matrix(machine, 10, 9)
     # the last ten symbols, as seen by the ten suffix lengths 0..9
     assert cm.entries.shape == (1024, 10)
     with pytest.raises(ValueError, match="exact-elimination cap"):
@@ -367,7 +367,13 @@ def test_distinct_comm_matrix_matches_deduplicated_comm_matrix():
         machine = random_automaton(rng, n_states=1 + i % 5, alphabet=alphabet)
         prefix_len, suffix_len = rng.randint(0, 5 if alphabet == "ab" else 4), rng.randint(0, 4)
         prefixes, suffixes = all_strings(alphabet, prefix_len), all_strings(alphabet, suffix_len)
-        expected = comm_matrix(machine, prefixes, suffixes, dedup=True)
+        full = comm_matrix(machine, prefixes, suffixes)
+        rows, cols = twoway._distinct(full.entries)
+        expected = twoway.CommMatrix(
+            tuple(prefixes[r] for r in rows),
+            tuple(suffixes[c] for c in cols),
+            full.entries[np.ix_(rows, cols)],
+        )
         got = distinct_comm_matrix(machine, prefix_len, suffix_len)
         assert got.entries.shape == expected.entries.shape
         assert got.prefixes == expected.prefixes
@@ -376,6 +382,16 @@ def test_distinct_comm_matrix_matches_deduplicated_comm_matrix():
         assert permmatrix.rank_exact(got.entries) == permmatrix.rank_exact(expected.entries)
         # each label names its line: the matrix of the labels is the distinct part
         assert np.array_equal(got.entries, _simulated(machine, got.prefixes, got.suffixes))
+
+
+def test_prefix_start_table_matches_direct_simulation():
+    rng = random.Random(101)
+    for i in range(60):
+        n = 1 + i % 5
+        machine = random_automaton(rng, n_states=n)
+        machine = dataclasses.replace(machine, initial=rng.choice(machine.states))
+        start = twoway._prefix_tables(machine).tables[0]
+        assert start == twoway._normalize(prefix_behavior(machine, ""), n)
 
 
 def test_explored_words_are_shortlex_least():
@@ -407,7 +423,7 @@ def test_comm_matrix_refuses_more_tables_than_the_budget(last_a, monkeypatch):
     assert comm_matrix(last_a, ["ab"], all_strings("ab", 3)).entries.shape == (1, 15)
     monkeypatch.setattr(twoway, "MAX_TABLES", 4)
     for build in (
-        lambda: comm_matrix(last_a, ["ab"], all_strings("ab", 2), dedup=True),
+        lambda: schmidt_lower_bound(last_a, ["ab"], all_strings("ab", 2)),
         lambda: distinct_comm_matrix(last_a, 0, 2),
     ):
         with pytest.raises(ValueError, match="crossing-table budget 4 exceeded"):
