@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-
-import mpmath
+from operator import add, mul
 
 
 def binomial(n: int, k: int) -> int:
@@ -78,8 +77,22 @@ class BoundRow:
 
 
 def bound_table(n_max: int) -> list[BoundRow]:
-    """Rows 1..n_max of the three-column bound table."""
-    return [BoundRow(n, bound_earlier(n), bound_new(n), bound_upper(n)) for n in range(1, n_max + 1)]
+    """Rows 1..n_max of the three-column bound table.
+
+    The weights are made once per table and each row's products
+    C(n, k-1) * C(n, k) once per n, shared by the three sums.
+    """
+    ks = range(1, n_max + 1)
+    earlier = [2 ** (k - 1) for k in ks]
+    new = [comb(2 * k - 2, k - 1) for k in ks]
+    upper = [factorial(k) for k in ks]
+    rows = []
+    pascal = [1]  # C(n, 0..n), one Pascal step per row
+    for n in ks:
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]
+        products = list(map(mul, pascal, pascal[1:]))
+        rows.append(BoundRow(n, *(sum(map(mul, products, w)) for w in (earlier, new, upper))))
+    return rows
 
 
 def asymptotic_ratio(n: int, digits: int = 50) -> mpmath.mpf:
@@ -95,6 +108,8 @@ def asymptotic_ratio(n: int, digits: int = 50) -> mpmath.mpf:
         raise ValueError("n must be positive")
     if digits < 1:
         raise ValueError("digits must be positive")
+    import mpmath  # loaded here only: importing it costs about 30 ms
+
     scaled = bound_new(n) * 8 * n * 10**digits // (3 * 9**n)
     with mpmath.workdps(digits + 10):
         return +(mpmath.mpf(scaled) * mpmath.pi / (mpmath.sqrt(3) * mpmath.mpf(10) ** digits))

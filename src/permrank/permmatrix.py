@@ -14,9 +14,10 @@ Every entry is read from one slab.  Entry (pi, sigma) is 1 when pi . sigma,
 a conjugate of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations
 form the subgroup H fixing the first two points and each run of s columns is
 a coset c . H, so M[pi, c . h] = slab[rank(pi . c), h] for the slab
-M[:, :s], made from the multiplication table of H.  The build copies it, one
-row gather per coset; the certificates read from it only the n!/(m1 m2)
-columns they need (below), so they never make the n! x n! matrix.
+M[:, :s], made from the multiplication table of H.  The build gathers slab
+rows straight into each chunk of matrix rows, one gather per chunk for
+every coset; the certificates read from it only the n!/(m1 m2) columns
+they need (below), so they never make the n! x n! matrix.
 
 Ranks are certified over Q by rank_exact's kernel check and mod random
 ~30-bit primes, a lower bound.  Neither certificate eliminates M itself;
@@ -98,6 +99,8 @@ _PRIME_HIGH = 1 << 31
 
 _CHECK_PRIME = 2147483629  # rank_exact's one prime, the largest below 2**31
 
+_BUILD_CHUNK_ROWS = 1024  # rows per slab gather: a 0.5 MB index at degree 8, not the full 18 MB
+
 _PBM_HEADER = re.compile(rb"P4(?:\s|#[^\n]*\n)+(\d+)(?:\s|#[^\n]*\n)+(\d+)\s")  # a comment runs to its newline
 
 
@@ -173,9 +176,15 @@ def _build_cycle_matrix(n: int, invert_rows: bool) -> BinaryMatrix:
     slab, s = _slab(_cycle_indicator(n), n)
     # the quotient form is the product form with row pi taken from pi^-1
     rows = perm_arr if not invert_rows else np.argsort(perm_arr, axis=1).astype(np.int8)
-    packed = np.empty((order, order // s, slab.shape[1]), dtype=np.uint8)
-    for b, c in enumerate(perm_arr[::s]):
-        packed[:, b] = slab[perms.perm_ranks(rows[:, c])]
+    reps = perm_arr[::s]  # one representative c per coset c . H, in column order
+    packed = np.empty((order, len(reps), slab.shape[1]), dtype=np.uint8)
+    for r0 in range(0, order, _BUILD_CHUNK_ROWS):
+        chunk = slice(r0, r0 + _BUILD_CHUNK_ROWS)
+        idx = perms.perm_ranks(rows[chunk][:, reps])  # slab row of pi . c for each row pi and coset c
+        if idx.min() < 0 or idx.max() >= len(slab):
+            raise IndexError(f"slab row out of range 0..{len(slab) - 1} at degree {n}")
+        # mode="raise" would buffer the output and copy it twice; the range is checked above
+        np.take(slab, idx, axis=0, out=packed[chunk], mode="clip")
     return BinaryMatrix(order, packed.reshape(order, -1), n)
 
 

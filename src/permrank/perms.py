@@ -130,8 +130,23 @@ def perm_rank(p: Perm) -> int:
 
 
 def perm_array(n: int) -> np.ndarray:
-    """All n! permutations of degree ``n`` as an int8 array of shape (n!, n), in rank order."""
-    return np.array(all_perms(n), dtype=np.int8).reshape(factorial(n), n)
+    """All n! permutations of degree ``n`` as an int8 array of shape (n!, n), in rank order.
+
+    Built degree by degree without tuples: the permutations of degree m are,
+    for each first image f in order, f followed by every permutation of
+    degree m - 1 with its images >= f shifted up by one, which keeps their
+    lexicographic order.
+    """
+    if not 1 <= n <= MAX_ENUM_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_ENUM_DEGREE}, got {n}")
+    p = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):
+        f = np.arange(m, dtype=np.int8)[:, None, None]
+        q = np.empty((m, len(p), m), dtype=np.int8)  # filled in place: faster than concatenate
+        q[..., :1] = f
+        q[..., 1:] = p + (p >= f)
+        p = q.reshape(-1, m)
+    return p
 
 
 def perm_ranks(perm_arr: np.ndarray) -> np.ndarray:

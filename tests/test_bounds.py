@@ -53,6 +53,14 @@ def test_bound_table_rows():
     assert (rows[8].earlier_lower, rows[8].new_lower, rows[8].upper) == (927441, 8030943, 41368977)
 
 
+def test_bound_table_matches_the_per_row_sums():
+    rows = bounds.bound_table(80)
+    assert rows == [
+        bounds.BoundRow(n, bounds.bound_earlier(n), bounds.bound_new(n), bounds.bound_upper(n))
+        for n in range(1, 81)
+    ]
+
+
 def test_bound_ordering_up_to_200():
     for n in range(1, 201):
         earlier, new, upper = bounds.bound_earlier(n), bounds.bound_new(n), bounds.bound_upper(n)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
@@ -113,6 +114,32 @@ def test_build_output_is_pinned(n, form):
     mat = getattr(permmatrix, f"cycle_{form}_matrix")(n)
     assert mat.packed.shape == (factorial(n), factorial(n) // 8)
     assert hashlib.sha256(mat.packed.tobytes()).hexdigest() == PACKED_SHA256[n, form]
+
+
+@pytest.mark.parametrize("form", ["product", "quotient"])
+def test_degree_8_build_allocates_little_beside_the_matrix(form):
+    # a full (n!, n!/s) index table would add 18 MB, a second copy of the matrix 203 MB
+    build = getattr(permmatrix, f"cycle_{form}_matrix")
+    tracemalloc.start()
+    try:
+        mat = build(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - mat.packed.nbytes <= 16 * 2**20
+
+
+def test_build_refuses_a_slab_index_out_of_range(monkeypatch):
+    # the gather clips instead of raising, so the build checks the range itself
+    slab_of = permmatrix._slab
+
+    def short_slab(indicator, n):
+        slab, s = slab_of(indicator, n)
+        return slab[:-1], s
+
+    monkeypatch.setattr(permmatrix, "_slab", short_slab)
+    with pytest.raises(IndexError, match="out of range"):
+        permmatrix.cycle_product_matrix(6)
 
 
 @pytest.mark.parametrize("n", [6, 7])

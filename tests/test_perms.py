@@ -1,5 +1,6 @@
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +73,19 @@ def test_all_perms_rejects_out_of_range():
         perms.all_perms(0)
     with pytest.raises(ValueError):
         perms.all_perms(perms.MAX_ENUM_DEGREE + 1)
+
+
+@pytest.mark.parametrize("n", range(1, perms.MAX_ENUM_DEGREE + 1))
+def test_perm_array_matches_all_perms(n):
+    arr = perms.perm_array(n)
+    assert arr.dtype == np.int8 and arr.flags.c_contiguous
+    assert np.array_equal(arr, np.array(perms.all_perms(n), dtype=np.int8))
+
+
+@pytest.mark.parametrize("n", [0, perms.MAX_ENUM_DEGREE + 1])
+def test_perm_array_rejects_out_of_range(n):
+    with pytest.raises(ValueError):
+        perms.perm_array(n)
 
 
 def test_rank_matches_enumeration_order():
