@@ -4,10 +4,12 @@ Three state-count bounds for converting an n-state two-way DFA into a
 one-way unambiguous automaton, each a sum over k of
 C(n, k-1) * C(n, k) * w(k) with weight:
 
-* earlier lower bound: w(k) = 2**(k-1)
-* new lower bound:     w(k) = C(2k-2, k-1)   (the exact rank)
-* upper bound:         w(k) = k!
+* earlier lower bound: w(k) = 2**(k-1)      = w(k-1) * 2
+* new lower bound:     w(k) = C(2k-2, k-1)  = w(k-1) * 2(2k-3) / (k-1)   (the exact rank)
+* upper bound:         w(k) = k!            = w(k-1) * k
 
+Each sum is one dot product of two term sequences, every term made from the
+one before (C(n, k) as C(n, k-1) * (n-k+1) / k), so no sum calls ``math.comb``.
 All values are exact integers.  The only floating-point computation is the
 asymptotic ratio against (3*sqrt(3) / (8*pi*n)) * 9**n, done by scaling the
 exact integer quotient to a fixed number of decimal digits before a single
@@ -16,9 +18,11 @@ high-precision division, so no intermediate ever overflows.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import comb, factorial
-from operator import add, mul
+from itertools import accumulate, pairwise, starmap
+from math import comb
+from operator import mul
 
 
 def binomial(n: int, k: int) -> int:
@@ -28,11 +32,20 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _weighted_sum(n: int, weight) -> int:
-    """Sum of C(n,k-1) * C(n,k) * weight(k) over k = 1..n."""
+def _terms(step, count: int) -> Iterator[int]:
+    """t(1..count), with t(1) = 1 and t(k) = step(t(k-1), k)."""
+    return accumulate(range(2, count + 1), step, initial=1)
+
+
+#: The weight steps w(k-1) -> w(k) of 2**(k-1), C(2k-2, k-1) and k!.
+_EARLIER, _NEW, _UPPER = (lambda w, k: 2 * w, lambda w, k: w * 2 * (2 * k - 3) // (k - 1), mul)
+
+
+def _products(n: int) -> Iterator[int]:
+    """C(n, k-1) * C(n, k) for k = 1..n, from the terms t(k) = C(n, k-1), k = 1..n+1."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(binomial(n, k - 1) * binomial(n, k) * weight(k) for k in range(1, n + 1))
+    return starmap(mul, pairwise(_terms(lambda c, k: c * (n - k + 2) // (k - 1), n + 1)))
 
 
 def bound_new(n: int) -> int:
@@ -41,17 +54,17 @@ def bound_new(n: int) -> int:
     This is the exact rank of the communication matrix for n-state two-way
     DFAs, hence the lower bound on the one-way unambiguous state count.
     """
-    return _weighted_sum(n, lambda k: binomial(2 * k - 2, k - 1))
+    return sum(map(mul, _products(n), _terms(_NEW, n)))
 
 
 def bound_earlier(n: int) -> int:
     """Sum of C(n,k-1) * C(n,k) * 2**(k-1) over k = 1..n."""
-    return _weighted_sum(n, lambda k: 2 ** (k - 1))
+    return sum(map(mul, _products(n), _terms(_EARLIER, n)))
 
 
 def bound_upper(n: int) -> int:
     """Sum of C(n,k-1) * C(n,k) * k! over k = 1..n."""
-    return _weighted_sum(n, factorial)
+    return sum(map(mul, _products(n), _terms(_UPPER, n)))
 
 
 def dfa_bound(n: int) -> int:
@@ -79,20 +92,12 @@ class BoundRow:
 def bound_table(n_max: int) -> list[BoundRow]:
     """Rows 1..n_max of the three-column bound table.
 
-    The weights are made once per table and each row's products
-    C(n, k-1) * C(n, k) once per n, shared by the three sums.
+    The weight lists are made once per table and the products once per row,
+    each term from the one before as in the per-n sums.
     """
-    ks = range(1, n_max + 1)
-    earlier = [2 ** (k - 1) for k in ks]
-    new = [comb(2 * k - 2, k - 1) for k in ks]
-    upper = [factorial(k) for k in ks]
-    rows = []
-    pascal = [1]  # C(n, 0..n), one Pascal step per row
-    for n in ks:
-        pascal = [1, *map(add, pascal, pascal[1:]), 1]
-        products = list(map(mul, pascal, pascal[1:]))
-        rows.append(BoundRow(n, *(sum(map(mul, products, w)) for w in (earlier, new, upper))))
-    return rows
+    weights = [list(_terms(step, n_max)) for step in (_EARLIER, _NEW, _UPPER)]
+    products = (list(_products(n)) for n in range(1, n_max + 1))
+    return [BoundRow(n, *(sum(map(mul, p, w)) for w in weights)) for n, p in enumerate(products, 1)]
 
 
 def asymptotic_ratio(n: int, digits: int = 50) -> mpmath.mpf:

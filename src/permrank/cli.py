@@ -21,8 +21,8 @@ MAX_SAMPLED_LENGTH = 64
 
 #: Largest values of the flags whose work grows without bound, each under
 #: about 20 s on a 2-core x86-64 host, as verify.MAX_DEGREE: bound --max 650
-#: took 0.9 s, asym --n 5000 --digits 200000 17.3 s, and rank --k 8 --primes 30
-#: 17.2 s.  The library functions take any value.
+#: took 1.4 s, asym --n 5000 --digits 200000 6.8 s (mostly mpmath), and rank
+#: --k 8 --primes 30 17.2 s, each as a command.  Library functions take any value.
 MAX_BOUND_ROWS = 650
 MAX_ASYM_N = 5000
 MAX_ASYM_DIGITS = 200_000

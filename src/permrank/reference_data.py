@@ -24,18 +24,6 @@ BOUNDS_TABLE: dict[int, tuple[int, int, int]] = {
     10: (5188590, 65672850, 589410910),
 }
 
-#: Expected rank of the degree-k cycle product matrix: C(2k-2, k-1).
-CYCLE_MATRIX_RANKS: dict[int, int] = {
-    1: 1,
-    2: 2,
-    3: 6,
-    4: 20,
-    5: 70,
-    6: 252,
-    7: 924,
-    8: 3432,
-}
-
 #: Character table of degree 3: rows are shapes (3), (2,1), (1,1,1);
 #: columns are classes (1,1,1), (2,1), (3).
 CHARACTER_TABLE_3: list[list[int]] = [

@@ -101,6 +101,8 @@ class TwoWayDFA:
         for symbol in self.alphabet:
             if not isinstance(symbol, str) or len(symbol) != 1:
                 raise ValueError(f"alphabet symbol {symbol!r} is not a single character")
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError("duplicate alphabet symbols")
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial!r} not declared")
         if not self.accepting <= set(self.states):
@@ -438,9 +440,12 @@ def comm_matrix(a: TwoWayDFA, prefixes, suffixes) -> CommMatrix:
 
 def distinct_comm_matrix(a: TwoWayDFA, prefix_len: int, suffix_len: int) -> CommMatrix:
     """The distinct part of comm_matrix over all strings up to the given lengths,
-    without building the strings; more than MAX_TABLES tables a side raise
-    ValueError.  A column's label is the suffix whose reversal is shortlex-least.
+    without building the strings; a negative length, or more than MAX_TABLES
+    tables a side, raises ValueError.  A column's label is the suffix whose
+    reversal is shortlex-least.
     """
+    if min(prefix_len, suffix_len) < 0:
+        raise ValueError("prefix and suffix lengths must be non-negative")
     rows, cols = _prefix_tables(a), _suffix_tables(a)
     row_words = rows.explore(a.alphabet, prefix_len)
     col_words = cols.explore(a.alphabet, suffix_len)

@@ -53,12 +53,33 @@ def test_bound_table_rows():
     assert (rows[8].earlier_lower, rows[8].new_lower, rows[8].upper) == (927441, 8030943, 41368977)
 
 
+def _direct_row(n):
+    """The three sums written out with math.comb, independent of bounds.py."""
+    def total(weight):
+        return sum(math.comb(n, k - 1) * math.comb(n, k) * weight(k) for k in range(1, n + 1))
+
+    return bounds.BoundRow(
+        n, total(lambda k: 2 ** (k - 1)), total(lambda k: math.comb(2 * k - 2, k - 1)), total(math.factorial)
+    )
+
+
 def test_bound_table_matches_the_per_row_sums():
-    rows = bounds.bound_table(80)
-    assert rows == [
+    direct = [_direct_row(n) for n in range(1, 81)]
+    assert bounds.bound_table(80) == direct
+    assert [
         bounds.BoundRow(n, bounds.bound_earlier(n), bounds.bound_new(n), bounds.bound_upper(n))
         for n in range(1, 81)
-    ]
+    ] == direct
+
+
+def test_bound_sums_do_not_call_comb(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a bound sum called math.comb")
+
+    monkeypatch.setattr(bounds, "comb", refuse)
+    expected = reference_data.BOUNDS_TABLE[10]
+    assert (bounds.bound_earlier(10), bounds.bound_new(10), bounds.bound_upper(10)) == expected
+    assert bounds.bound_table(10) == [bounds.BoundRow(n, *reference_data.BOUNDS_TABLE[n]) for n in range(1, 11)]
 
 
 def test_bound_ordering_up_to_200():

@@ -298,6 +298,19 @@ def test_2dfa_commrank_refuses_oversized_samples_with_one_line(capsys, flags, me
     assert len(err.strip().splitlines()) == 1
 
 
+def test_2dfa_duplicate_alphabet_symbol_exits_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "machine.json"
+    machine = json.loads((DATA / "last_a.json").read_text())
+    machine["alphabet"] = ["a", "b", "a"]
+    path.write_text(json.dumps(machine))
+    code, out, err = run_cli(capsys, "2dfa", "commrank", "-a", str(path),
+                             "--prefix-len", "3", "--suffix-len", "3", "--json")
+    assert code == 2
+    assert out == ""
+    assert "duplicate alphabet symbols" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_2dfa_multi_character_alphabet_exits_2_with_one_line(capsys, tmp_path):
     path = tmp_path / "machine.json"
     machine = json.loads((DATA / "last_a.json").read_text())

@@ -60,6 +60,8 @@ def test_validation_rejects_bad_machines():
         TwoWayDFA(("q",), ("a", "<"), "q", frozenset(), {})
     with pytest.raises(ValueError, match="initial"):
         TwoWayDFA(("q",), ("a",), "r", frozenset(), {})
+    with pytest.raises(ValueError, match="duplicate alphabet symbols"):
+        TwoWayDFA(("q",), ("a", "b", "a"), "q", frozenset(), {})
 
 
 @pytest.mark.parametrize("alphabet", [("ab", "c"), ("a", ""), ("a", 5)])
@@ -414,6 +416,12 @@ def test_to_dfa_refuses_more_tables_than_its_budget(monkeypatch):
     monkeypatch.setattr(twoway, "MAX_TABLES", 7)
     with pytest.raises(ValueError, match="crossing-table budget 7 exceeded"):
         to_dfa(machine)
+
+
+@pytest.mark.parametrize("lengths", [(-1, -1), (-1, 2), (2, -1)])
+def test_distinct_comm_matrix_refuses_negative_lengths(last_a, lengths):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        distinct_comm_matrix(last_a, *lengths)
 
 
 def test_comm_matrix_refuses_more_tables_than_the_budget(last_a, monkeypatch):
