@@ -97,7 +97,8 @@ def _cmd_rank(args) -> int:
         if cert.blocks:
             b = cert.blocks
             print(
-                f"blocks: {b.count} of order {b.order} per prime, from the subgroup <a> x <b> "
+                f"blocks: {b.count} of order {b.order} per prime, {b.eliminated} of them eliminated, "
+                f"from the subgroup <a> x <b> "
                 f"of order {b.subgroup_order} (cycle types "
                 f"{' and '.join(map(_partition_label, b.cycle_types))})"
             )

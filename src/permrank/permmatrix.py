@@ -9,7 +9,8 @@ canonical (lexicographic) order.  Two 0/1 matrices are built:
   also the matrix of left multiplication by the sum of all n-cycles in the
   group algebra, which left_multiplication_matrix builds independently.
 
-Storage is bit-packed; rows become residues only inside elimination.
+Storage is bit-packed (bitmatrix.BinaryMatrix); rows become residues only
+inside elimination.
 Every entry is read from one slab.  Entry (pi, sigma) is 1 when pi . sigma,
 a conjugate of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations
 form the subgroup H fixing the first two points and each run of s columns is
@@ -68,12 +69,20 @@ scales the group indices, so the block for (w1, w2) equals the block for
 onto units mod d, so every primitive d-th root is such a w^u.  Each prime
 thus costs tau(m1) tau(m2) eliminations: 24 of order 42 at degree 7, 16
 of order 336 at degree 8.
+
+Stacks.  Blocks of one shape are eliminated together: _echelon_mod_p
+takes a stack of matrices and makes one pass over the columns for all of
+them, so the Python cost of a column is paid once per stack, not once per
+block.  The stacks of one shape are as even as they can be and hold at
+most _STACK_BYTES of residues, or one block: 3 stacks of 8 for the 24
+degree-7 blocks, each degree-8 block on its own.  The exact
+certificate stacks its equal-order blocks the same way, and rank_mod_prime
+and rank_exact pass a stack of one.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -84,6 +93,7 @@ from math import factorial, gcd, isqrt, lcm
 import numpy as np
 
 from . import group_algebra, perms, young
+from .bitmatrix import BinaryMatrix, read_pbm, write_pbm  # write_pbm and read_pbm are re-exported
 
 # perfbench/child.py reads both names to record the elimination kernel and integer type.
 numba, mpz = None, int
@@ -101,54 +111,10 @@ _CHECK_PRIME = 2147483629  # rank_exact's one prime, the largest below 2**31
 
 _BUILD_CHUNK_ROWS = 1024  # rows per slab gather: a 0.5 MB index at degree 8, not the full 18 MB
 
-_PBM_HEADER = re.compile(rb"P4(?:\s|#[^\n]*\n)+(\d+)(?:\s|#[^\n]*\n)+(\d+)\s")  # a comment runs to its newline
-
-
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """Dense 0/1 matrix, bit-packed row-major (MSB-first within each byte)."""
-
-    order: int
-    packed: np.ndarray
-    degree: int | None = None
-
-    @classmethod
-    def from_dense(cls, dense, degree: int | None = None) -> "BinaryMatrix":
-        arr = np.asarray(dense)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        return cls(arr.shape[0], np.packbits(arr.astype(bool), axis=1), degree)
-
-    def to_dense(self) -> np.ndarray:
-        return np.unpackbits(self.packed, axis=1, count=self.order)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.packed[i, j >> 3] >> (7 - (j & 7))) & 1
-
-    def row_sums(self) -> np.ndarray:
-        sums = np.empty(self.order, dtype=np.int64)
-        step = max(1, (1 << 22) // max(1, self.packed.shape[1]))
-        for r0 in range(0, self.order, step):
-            block = self.packed[r0:r0 + step]
-            sums[r0:r0 + step] = np.unpackbits(block, axis=1, count=self.order).sum(axis=1)
-        return sums
-
-    def filled_count(self) -> int:
-        return int(self.row_sums().sum())
-
-    def is_symmetric(self) -> bool:
-        if self.order > 10000:
-            raise ValueError("symmetry check not supported at this order")
-        dense = self.to_dense()
-        return bool((dense == dense.T).all())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.order == other.order
-            and self.packed.shape == other.packed.shape
-            and bool((self.packed == other.packed).all())
-        )
+# Most int64 residues in one elimination stack: the 24 degree-7 blocks go in 3 stacks of 8, each
+# degree-8 block alone.  Larger stacks run a little faster but raise peak memory, since the kernel's
+# scratch is about twice the stack; stacking degree-8 blocks is slower (they fall out of cache).
+_STACK_BYTES = 1 << 17
 
 
 def _cycle_indicator(n: int) -> np.ndarray:
@@ -276,33 +242,54 @@ def _root_of_unity(m: int, p: int) -> int:
 
 # --- elimination over Z/pZ ---
 
-def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
-    """Row echelon form of ``a`` over Z/pZ, in place; returns the pivot columns.
+def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> list[list[int]]:
+    """Row echelon form over Z/pZ of every matrix in the C-contiguous stack ``a`` (B, m, n), in place.
 
-    ``reduced`` also clears above the pivots.  Entries stay in [0, p), so no
-    product reaches p**2 < 2**62.
+    Returns each matrix's pivot columns.  One pass over the columns serves
+    the whole stack: in column c a matrix of rank r takes as pivot its first
+    nonzero row at or below r, swaps it up to row r, scales it to 1 and
+    clears the column below it (and above it when ``reduced``).  Only rows
+    with a nonzero in column c change, and the pass stops once the rows
+    below every rank are zero.  Entries stay in [0, p), so no product
+    reaches p**2 < 2**62.
     """
-    m, ncols = a.shape
-    pivots: list[int] = []
+    stack, m, ncols = a.shape
+    rows = a.view()
+    rows.shape = (stack * m, ncols)  # row i of matrix j is rows[j * m + i]; raises where a view cannot do
+    starts = np.arange(0, stack * m, m)
+    tops = starts.copy()  # the row at each matrix's rank, where its next pivot goes
+    candidate = np.ones(stack * m, dtype=bool)  # rows at or below their matrix's rank
+    is_pivot = np.zeros((stack, ncols), dtype=bool)
+    pivoted = False  # whether column c - 1 had a pivot
     for c in range(ncols):
-        r = len(pivots)
-        nz = np.flatnonzero(a[r:, c]) + r
-        if nz.size == 0:
+        nonzero = ((rows[:, c] != 0) & candidate).reshape(stack, m)
+        if not np.count_nonzero(nonzero):
+            if pivoted and not rows[candidate, c:].any():
+                break  # the rows below every rank are zero from here on, so no pivot is left
+            pivoted = False
             continue
-        i = int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        # row i now holds old row r, which is zero in column c
-        live = nz[1:]
-        if reduced:
-            live = np.concatenate([np.flatnonzero(a[:r, c]), live])
-        if live.size:
-            a[live, c:] = (a[live, c:] - a[live, c, None] * a[r, c:]) % p
-        pivots.append(c)
-        if r + 1 == m:
-            break
-    return pivots
+        pivoted = True
+        pivoting = nonzero.any(axis=1)
+        top, found = tops[pivoting], (nonzero.argmax(axis=1) + starts)[pivoting]
+        if np.count_nonzero(found != top):  # the row at found takes the old row at top, which is zero in column c
+            rows[found], rows[top] = rows[top], rows[found]
+        inverses = np.array([pow(x, -1, p) for x in rows[top, c].tolist()])
+        pivot_rows = rows[top, c:] = rows[top, c:] * inverses[:, None] % p
+        candidate[top] = False
+        factors = rows[:, c] * (np.repeat(pivoting, m) if reduced else candidate)
+        factors[top] = 0
+        if (live := factors.nonzero()[0]).size:
+            if len(top) > 1:  # each live row's own pivot row; one pivot row broadcasts
+                pivot_rows = pivot_rows[np.cumsum(pivoting)[live // m] - 1]
+            update = factors[live, None] * pivot_rows
+            del pivot_rows  # at most two (live, n - c) arrays at a time
+            changed = rows[live, c:]
+            changed -= update
+            rows[live, c:] = np.remainder(changed, p, out=changed)
+            del update, changed
+        tops += pivoting
+        is_pivot[:, c] = pivoting
+    return [np.flatnonzero(row).tolist() for row in is_pivot]
 
 
 def _as_int64(m) -> np.ndarray:
@@ -322,9 +309,37 @@ def rank_mod_prime(m, p: int) -> int:
     ``p`` must be a prime with 2**29 < p < 2**31.  The result never exceeds
     the rank over the rationals.
     """
+    _check_prime(p)
+    a = _as_int64(m)
+    a %= p
+    return len(_echelon_mod_p(a[None], p)[0])
+
+
+def _check_prime(p: int) -> None:
     if not (_PRIME_LOW < p < _PRIME_HIGH) or not is_prime(p):
         raise ValueError(f"p must be a prime in (2**29, 2**31), got {p}")
-    return len(_echelon_mod_p(_as_int64(m) % p, p))
+
+
+def _stacked_echelons(blocks, p: int, reduced: bool = False) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+    """(index, echelon form mod ``p``, pivot columns) of each block, eliminated in stacks of equal shape.
+
+    The stacks of a shape differ in size by at most one block, and each
+    holds at most _STACK_BYTES, or one block.  Each shape fills one int64
+    buffer in place, so a block is copied once, as it is reduced; an echelon
+    form is a view of that buffer, overwritten by the next stack.
+    """
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_shape.setdefault(block.shape, []).append(i)
+    for (m, n), members in by_shape.items():
+        stacks = -(-len(members) // max(1, _STACK_BYTES // max(1, 8 * m * n)))
+        size = -(-len(members) // stacks)  # as even as the budget allows
+        buffer = np.empty((size, m, n), dtype=np.int64)
+        for lo in range(0, len(members), size):
+            chunk = members[lo:lo + size]
+            for i, residues in zip(chunk, buffer):
+                np.remainder(blocks[i], p, out=residues)
+            yield from zip(chunk, buffer, _echelon_mod_p(buffer[:len(chunk)], p, reduced))
 
 
 # --- the split by A = <a> x <b> (module docstring) ---
@@ -354,16 +369,17 @@ def _cycle_type_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _orbit_minima(inner: np.ndarray, m_inner: int, outer: np.ndarray, m_outer: int) -> np.ndarray:
     """Ranks that are least in their orbit under the commuting rank maps ``inner`` and ``outer``.
 
-    One power of ``outer`` at a time, so no (m_inner, m_outer, n!) table is made.
+    Minima propagate by doubling: after j rounds along a map f of order m,
+    low[x] is the least of x, f(x), ..., f^(2^j - 1)(x), which is the whole
+    <f>-orbit once 2^j >= m.  The inner minima, taken along ``outer``, give
+    the minima over the orbits of the group the two maps generate.
     """
     everyone = np.arange(len(inner))
-    x, low = everyone, everyone.copy()
-    for _ in range(m_outer):
-        y = x
-        for _ in range(m_inner):
-            np.minimum(low, y, out=low)
-            y = inner[y]
-        x = outer[x]
+    low = everyone
+    for step, m in ((inner, m_inner), (outer, m_outer)):
+        for _ in range((m - 1).bit_length()):  # ceil(log2 m) rounds
+            low = np.minimum(low, low[step])
+            step = step[step]
     return np.flatnonzero(low == everyone)
 
 
@@ -427,7 +443,8 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
             quotient[i] = c = coeffs[i + k]
             for j, dj in enumerate(divisor):
                 coeffs[i + j] -= c * dj
-        assert not any(coeffs), f"Phi_{e} does not divide the remaining factor of x^{d} - 1"
+        if any(coeffs):
+            raise ArithmeticError(f"Phi_{e} does not divide the remaining factor of x^{d} - 1")
         coeffs = quotient
     return tuple(coeffs)
 
@@ -475,9 +492,11 @@ def _representation_blocks(symbols: np.ndarray, p: int | None = None) -> Iterato
         weights %= p  # products of two residues, below p**2 < 2**62
     # float64 products, 256 columns at a time: every sum has m1 m2 terms
     # weight * 0/1, so it stays below 2**53 and is exact
-    assert m1 * m2 * int(np.abs(weights).max()) < 1 << 53
+    if m1 * m2 * int(np.abs(weights).max()) >= 1 << 53:
+        raise OverflowError(f"block sums of {m1 * m2} weights up to {int(np.abs(weights).max())} "
+                            "could exceed 2**53, where float64 rounds")
     flat, weights = symbols.reshape(m1 * m2, -1), weights.astype(np.float64)
-    # one array per pair, dropped once its block is made, so one block is held at a time
+    # one array per pair, popped as its block is made, so it lives no longer than the block
     sums = [np.empty((hi - lo, order * order), dtype=np.int64) for lo, hi in zip(rows, rows[1:])]
     for c0 in range(0, order * order, 256):
         products = weights @ flat[:, c0:c0 + 256].astype(np.float64)
@@ -492,7 +511,9 @@ def _representation_blocks(symbols: np.ndarray, p: int | None = None) -> Iterato
 
 def _blocked_rank(symbols: np.ndarray, p: int) -> int:
     """Rank mod ``p``, p = 1 (mod lcm(m1, m2)), of the group matrix over Z_m1 x Z_m2 with these symbols."""
-    return sum(count * rank_mod_prime(block, p) for count, block in _representation_blocks(symbols, p))
+    _check_prime(p)
+    counts, blocks = zip(*_representation_blocks(symbols, p))
+    return sum(counts[i] * len(pivots) for i, _, pivots in _stacked_echelons(blocks, p))
 
 
 # --- exact rank over the rationals ---
@@ -500,12 +521,14 @@ def _blocked_rank(symbols: np.ndarray, p: int) -> int:
 def rank_exact(m) -> int:
     """Rank over the rationals: the rank mod one prime, proved by an exact kernel check.
 
-    r = rank mod p (p = 2147483629) is a lower bound.  The reduced echelon
-    form mod p gives n - r independent kernel vectors; rationally
-    reconstructed and scaled to integers, they satisfy A K = 0 over Z only
-    if the rank is at most r.  If reconstruction or that check fails (an
-    unlucky prime, or denominators above sqrt(p/2)), fraction-free Bareiss
-    elimination gives the rank.  Limited to order MAX_EXACT_ORDER.
+    With the matrix transposed if needed to n <= m columns, r = rank mod p
+    (p = 2147483629) is a lower bound, and the rank when r = n.  Otherwise
+    the reduced echelon form mod p gives n - r independent kernel vectors;
+    rationally reconstructed and scaled to integers, they satisfy A K = 0
+    over Z only if the rank is at most r.  If reconstruction or that check
+    fails (an unlucky prime, or denominators above sqrt(p/2)),
+    fraction-free Bareiss elimination gives the rank.  Limited to order
+    MAX_EXACT_ORDER.
     """
     shape = (m.order, m.order) if isinstance(m, BinaryMatrix) else np.shape(m)
     if max(shape, default=0) > MAX_EXACT_ORDER:
@@ -513,28 +536,40 @@ def rank_exact(m) -> int:
             f"dimensions {shape} exceed exact-elimination cap {MAX_EXACT_ORDER}; "
             "use rank_mod_prime / the modular certification path"
         )
-    return _rank_over_q(_as_int64(m))[0]
+    return _ranks_over_q([_as_int64(m)])[0][0]
 
 
-def _rank_over_q(a: np.ndarray) -> tuple[int, int | None]:
-    """Rank of an int64 matrix over Q, and the prime whose kernel check proved it (None: Bareiss)."""
-    if a.shape[1] > a.shape[0]:
-        a = a.T  # the narrow side has the smaller kernel
-    n, p = a.shape[1], _CHECK_PRIME
-    echelon = a % p
-    pivots = _echelon_mod_p(echelon, p, reduced=True)
-    r = len(pivots)
-    free = np.delete(np.arange(n), pivots)
+def _ranks_over_q(blocks) -> list[tuple[int, int | None]]:
+    """Rank over Q of each int64 block, and the prime whose kernel check proved it (None: Bareiss).
+
+    Equal-shape blocks are reduced mod p together (_stacked_echelons); each
+    is then checked on its own.  A block of full column rank mod p has no
+    kernel to check: its rank is at most its column count.
+    """
+    blocks = [a.T if a.shape[1] > a.shape[0] else a for a in blocks]  # the narrow side has the smaller kernel
+    results = [None] * len(blocks)
+    for i, echelon, pivots in _stacked_echelons(blocks, _CHECK_PRIME, reduced=True):
+        a = blocks[i]
+        if len(pivots) == a.shape[1] or _kernel_vanishes(a, echelon, pivots):
+            results[i] = len(pivots), _CHECK_PRIME
+        else:
+            results[i] = _bareiss_rank(a.astype(object)), None
+    return results
+
+
+def _kernel_vanishes(a: np.ndarray, echelon: np.ndarray, pivots: list[int]) -> bool:
+    """Whether the kernel read off the reduced echelon form of ``a`` mod p, reconstructed over Q, vanishes over Z."""
+    n, r, p = a.shape[1], len(pivots), _CHECK_PRIME
+    free = sorted(set(range(n)).difference(pivots))
     fractions = _rational_reconstruction(-echelon[:r, free] % p, p)
-    if fractions is not None:
-        num, den = (x.astype(object) for x in fractions)
-        scale = np.array([lcm(*column) for column in den.T.tolist()], dtype=object)
-        kernel = np.zeros((n, n - r), dtype=object)
-        kernel[pivots] = num * (scale // den)
-        kernel[free, np.arange(n - r)] = scale
-        if _vanishes(a, kernel):
-            return r, p
-    return _bareiss_rank(a.astype(object)), None
+    if fractions is None:
+        return False
+    num, den = (x.astype(object) for x in fractions)
+    scale = np.array([lcm(*column) for column in den.T.tolist()], dtype=object)
+    kernel = np.zeros((n, n - r), dtype=object)
+    kernel[pivots] = num * (scale // den)
+    kernel[free, np.arange(n - r)] = scale
+    return _vanishes(a, kernel)
 
 
 def _rational_reconstruction(u: np.ndarray, p: int):
@@ -600,13 +635,15 @@ class BlockStructure:
 
     The blocks come from the subgroup <a> x <b> of S_n x S_n, of order
     ``subgroup_order``, generated by permutations a and b of the two
-    ``cycle_types``.
+    ``cycle_types``.  ``eliminated`` of them, one per class of equal rank,
+    are eliminated at each prime.
     """
 
     cycle_types: tuple[tuple[int, ...], tuple[int, ...]]
     subgroup_order: int
     count: int
     order: int
+    eliminated: int
 
 
 @dataclass(frozen=True)
@@ -636,7 +673,8 @@ def certified_rank(
     p = 1 (mod lcm(m1, m2)) from one modular block per pair of divisors;
     primes that disagree raise PrimeDisagreement.  No n! x n! matrix is
     made.  The note names the cycle types and, for ``exact``, each block's
-    order and whether the kernel check or the Bareiss fallback proved it.
+    order, how many blocks the kernel check proved and the orders of any
+    the Bareiss fallback proved.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -660,17 +698,19 @@ def certified_rank(
     symbols = _group_symbols(_cycle_indicator(n), cycle_types)
     types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
     if method == "exact":
-        results = [(len(block), *_rank_over_q(block)) for _, block in _representation_blocks(symbols)]
+        blocks = [block for _, block in _representation_blocks(symbols)]
+        results = _ranks_over_q(blocks)
+        bareiss = [str(len(block)) for block, (_, p) in zip(blocks, results) if p is None]
         return RankCertificate(
-            rank=sum(rank for _, rank, _ in results),
+            rank=sum(rank for rank, _ in results),
             method="exact-fraction-free",
             primes=(),
             note=(
-                f"rank over the rationals of {len(results)} cyclotomic blocks of orders "
-                f"{', '.join(str(order) for order, _, _ in results)} "
-                f"(cycle types {types_label}), certified in turn by "
-                + ", ".join(f"kernel check mod {p}" if p else "Bareiss fallback"
-                            for _, _, p in results)
+                f"rank over the rationals of {len(blocks)} cyclotomic blocks of orders "
+                f"{', '.join(str(len(block)) for block in blocks)} (cycle types {types_label}); "
+                f"the kernel check mod {_CHECK_PRIME} proved {len(blocks) - len(bareiss)} of them"
+                + (f", the Bareiss fallback the {len(bareiss)} of orders {', '.join(bareiss)}"
+                   if bareiss else "")
             ),
             degree=n,
         )
@@ -699,39 +739,5 @@ def certified_rank(
                else f"{num_primes} independent primes agree")
         ),
         degree=n,
-        blocks=BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order),
+        blocks=BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, classes),
     )
-
-
-def write_pbm(m: BinaryMatrix, path) -> None:
-    """Write the matrix as a binary PBM image, 1 = filled (black).
-
-    The packed row layout (MSB-first, byte-padded rows) is exactly the P4
-    raster format, so rows are written as stored, from the array's own
-    buffer rather than a bytes copy (203 MB at degree 8).
-    """
-    with open(path, "wb") as fh:
-        fh.write(f"P4\n{m.order} {m.order}\n".encode())
-        fh.write(np.ascontiguousarray(m.packed).data)
-
-
-def read_pbm(path) -> BinaryMatrix:
-    """Read back a square binary PBM (P4), such as write_pbm writes.
-
-    The magic, width and height are separated by whitespace and ``#``
-    comments, and one whitespace byte ends the header.  An empty,
-    truncated or malformed file raises ValueError.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P4"):
-        raise ValueError(f"not a binary PBM: magic {data[:2]!r}" if data else "not a binary PBM: empty file")
-    if (header := _PBM_HEADER.match(data)) is None:
-        raise ValueError("truncated or malformed PBM header")
-    width, height = int(header[1]), int(header[2])
-    if width != height:
-        raise ValueError(f"expected a square image, got {width}x{height}")
-    raster, row_bytes = np.frombuffer(data, dtype=np.uint8, offset=header.end()), (width + 7) // 8
-    if raster.size != height * row_bytes:
-        raise ValueError(f"expected {height * row_bytes} raster bytes, got {raster.size}")
-    return BinaryMatrix(width, raster.reshape(height, row_bytes))

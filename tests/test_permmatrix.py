@@ -240,6 +240,80 @@ def test_modular_rank_matches_fraction_oracle(rows):
     assert permmatrix.rank_mod_prime(arr, FIXED_PRIME) == expected
 
 
+def _python_echelon(matrix, p, reduced):
+    """Gaussian elimination over Z/pZ on lists: each pivot is the first nonzero row at or below the rank."""
+    rows, pivots = [list(row) for row in matrix], []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inverse = pow(rows[r][c], -1, p)
+        rows[r] = [x * inverse % p for x in rows[r]]
+        for j in range(0 if reduced else r + 1, len(rows)):
+            if j != r and rows[j][c]:
+                f = rows[j][c]
+                rows[j] = [(x - f * y) % p for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+@st.composite
+def residue_stacks(draw):
+    """(stack, bounds): 1..5 residue matrices of one m x n shape, m, n <= 12, and each one's rank bounds.
+
+    Members are all-zero (rank 0), full-rank (a unit lower triangular
+    matrix times a unit upper echelon one, rows shuffled; rank min(m, n))
+    or low-rank (an m x r times an r x n product; rank at most r).  Entries
+    below 2 make zero columns, row swaps and repeated rows common.
+    """
+    count, m, n = draw(st.integers(1, 5)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members, bounds = [], []
+    for kind in draw(st.lists(st.sampled_from(["zero", "full", "low"]), min_size=count, max_size=count)):
+        high = draw(st.sampled_from([2, FIXED_PRIME]))
+        if kind == "zero":
+            member, bound = np.zeros((m, n), dtype=object), (0, 0)
+        elif kind == "full":
+            lower = np.tril(rng.integers(0, high, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+            upper = np.triu(rng.integers(0, high, size=(m, n)), 1) + np.eye(m, n, dtype=np.int64)
+            member = (lower.astype(object) @ upper.astype(object))[rng.permutation(m)]
+            bound = (min(m, n), min(m, n))
+        else:
+            rank = draw(st.integers(1, min(m, n)))
+            left, right = (rng.integers(0, high, size=shape).astype(object) for shape in ((m, rank), (rank, n)))
+            member, bound = left @ right, (0, rank)
+        members.append(member % FIXED_PRIME)
+        bounds.append(bound)
+    return np.array(members, dtype=np.int64), bounds
+
+
+@settings(deadline=None, max_examples=150)
+@given(residue_stacks(), st.booleans())
+def test_stacked_echelon_matches_python_elimination(stack_and_bounds, reduced):
+    stack, bounds = stack_and_bounds
+    echelon = stack.copy()
+    pivots = permmatrix._echelon_mod_p(echelon, FIXED_PRIME, reduced)
+    assert len(pivots) == len(stack)
+    for member, form, columns, (low, high) in zip(stack, echelon, pivots, bounds):
+        rows, expected = _python_echelon(member.tolist(), FIXED_PRIME, reduced)
+        assert columns == expected
+        assert form.tolist() == rows
+        assert low <= len(columns) <= high
+
+
+def test_stacked_echelon_looks_past_a_column_without_pivots():
+    # column 1 has no pivot in either matrix, yet the first has one left in column 2
+    stack = np.array([[[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]], dtype=np.int64)
+    for reduced in (False, True):
+        echelon = stack.copy()
+        pivots = permmatrix._echelon_mod_p(echelon, FIXED_PRIME, reduced)
+        expected = [_python_echelon(member.tolist(), FIXED_PRIME, reduced) for member in stack]
+        assert pivots == [columns for _, columns in expected] == [[0, 2], [0]]
+        assert echelon.tolist() == [rows for rows, _ in expected]
+
+
 def _low_rank(rng, rows, cols, rank):
     """A random rows x cols matrix of rank at most ``rank``, entries up to about 10**6.
 
@@ -261,7 +335,7 @@ def test_rank_exact_matches_bareiss_and_fractions_on_random_matrices():
             assert np.abs(arr).max(initial=0) <= 10**6
             expected = fraction_rank(arr.tolist())
             assert permmatrix._bareiss_rank(arr.astype(object)) == expected
-            assert permmatrix._rank_over_q(arr) == (expected, permmatrix._CHECK_PRIME)
+            assert permmatrix._ranks_over_q([arr]) == [(expected, permmatrix._CHECK_PRIME)]
             assert permmatrix.rank_exact(arr) == expected
 
 
@@ -283,6 +357,15 @@ def test_rank_exact_exit_kernel_check_passes(monkeypatch):
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 2, 5]]
     assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 2
     assert checks == [True] and fallbacks == []
+
+
+def test_rank_exact_exit_full_column_rank(monkeypatch):
+    # rank mod p equal to the column count is the rank: there is no kernel to check
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    rows = [[1, 2], [3, 4], [5, 6]]
+    assert permmatrix.rank_exact(rows) == permmatrix.rank_exact(np.array(rows).T) == fraction_rank(rows) == 2
+    assert permmatrix._ranks_over_q([np.array(rows)]) == [(2, FIXED_PRIME)]
+    assert checks == [] and fallbacks == []
 
 
 @pytest.mark.parametrize(
@@ -405,7 +488,7 @@ def test_certified_rank_degree_eight(monkeypatch):
     cert = permmatrix.certified_rank(8, num_primes=1, seed=8)
     assert cert.rank == 3432
     assert cert.method == "modular-multiprime"
-    assert cert.blocks == permmatrix.BlockStructure(((8,), (5, 3)), 120, 120, 336)
+    assert cert.blocks == permmatrix.BlockStructure(((8,), (5, 3)), 120, 120, 336, 16)
     assert builds == []
 
 
@@ -426,7 +509,7 @@ def test_certified_rank_rejects_too_few_primes(num_primes):
 def test_certified_rank_records_block_structure():
     cert = permmatrix.certified_rank(5, method="modp", num_primes=2, seed=7)
     assert cert.rank == 70
-    assert cert.blocks == permmatrix.BlockStructure(((5,), (3, 2)), 30, 30, 4)
+    assert cert.blocks == permmatrix.BlockStructure(((5,), (3, 2)), 30, 30, 4, 8)
     assert "sum of the ranks" in cert.note
     assert all(p % 30 == 1 for p in cert.primes)
     assert permmatrix.certified_rank(4).blocks is None
@@ -574,6 +657,35 @@ def test_slab_symbols_match_a_gather_from_the_pinned_matrix(n):
     assert np.array_equal(symbols, expected)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_minima_match_orbits_walked_step_by_step(n):
+    # the doubling of _orbit_minima against a search of each orbit, on the
+    # row maps (pi . a, b . pi) and the column maps (a . sigma, sigma . b)
+    lam, mu = permmatrix._cycle_type_pair(n)
+    m1, m2 = lcm(*lam), lcm(*mu)
+    a, b = _consecutive_cycles(n, lam), _consecutive_cycles(n, mu)
+    group = perms.all_perms(n)
+    assert [perms.perm_rank(g) for g in group] == list(range(len(group)))
+    for steps in ((lambda g: perms.compose(g, a), lambda g: perms.compose(b, g)),
+                  (lambda g: perms.compose(a, g), lambda g: perms.compose(g, b))):
+        inner, outer = ([perms.perm_rank(step(g)) for g in group] for step in steps)
+        seen, minima = set(), []
+        for start in range(len(group)):
+            if start not in seen:
+                orbit, frontier = {start}, [start]
+                while frontier:
+                    x = frontier.pop()
+                    for y in (inner[x], outer[x]):
+                        if y not in orbit:
+                            orbit.add(y)
+                            frontier.append(y)
+                seen |= orbit
+                minima.append(min(orbit))
+        found = permmatrix._orbit_minima(np.array(inner), m1, np.array(outer), m2)
+        assert found.tolist() == sorted(minima)
+        assert len(found) == factorial(n) // (m1 * m2)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_blocked_rank_equals_full_rank_at_same_prime(n):
     mat = permmatrix.cycle_product_matrix(n)
@@ -688,6 +800,28 @@ def test_cyclotomic_factors_multiply_to_x_m_minus_1(m):
     assert product == [-1] + [0] * (m - 1) + [1]
 
 
+def test_block_sums_refuse_weights_that_float64_would_round(monkeypatch):
+    # m1 m2 = 6 sums of weight * 0/1 stay exact in float64 only below 2**53 / 6
+    symbols = np.ones((2, 3, 1, 1), dtype=np.uint8)
+    top = (1 << 53) // 6
+
+    def representations(weight):
+        return lambda m, p: [(1, np.full((m, 1, 1), weight if m == 2 else 1, dtype=np.int64))]
+
+    monkeypatch.setattr(permmatrix, "_representations", representations(top))
+    assert [block.tolist() for _, block in permmatrix._representation_blocks(symbols)] == [[[6 * top]]]
+    monkeypatch.setattr(permmatrix, "_representations", representations(top + 1))
+    with pytest.raises(OverflowError, match=r"2\*\*53"):
+        list(permmatrix._representation_blocks(symbols))
+
+
+def test_cyclotomic_refuses_a_divisor_that_leaves_a_remainder(monkeypatch):
+    original = permmatrix._cyclotomic.__wrapped__  # uncached; its recursion looks up the patched name
+    monkeypatch.setattr(permmatrix, "_cyclotomic", lambda d: (2, 1) if d == 1 else original(d))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        permmatrix._cyclotomic(2)
+
+
 def _cyclotomic_rank(mat):
     blocks = [block for _, block in permmatrix._representation_blocks(_symbols(mat))]
     assert sum(len(b) for b in blocks) == mat.order
@@ -723,12 +857,29 @@ def test_certified_rank_exact_note_names_block_orders():
 
 def test_certified_rank_exact_note_names_how_each_block_was_certified(monkeypatch):
     note = permmatrix.certified_rank(6).note
-    assert note.count(f"kernel check mod {FIXED_PRIME}") == 16
-    assert "Bareiss" not in note
+    assert note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 16 of them")
+    assert note.count("kernel check") == 1 and "Bareiss" not in note
+    # with no kernel reconstructed, the four blocks of full rank mod p need none; the two others take Bareiss
     monkeypatch.setattr(permmatrix, "_rational_reconstruction", lambda u, p: None)
+    fallbacks = _spy(monkeypatch, "_bareiss_rank")
     cert = permmatrix.certified_rank(4)
     assert cert.rank == 20
-    assert cert.note.count("Bareiss fallback") == 6 and "kernel check" not in cert.note
+    assert cert.note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 4 of them, "
+                              "the Bareiss fallback the 2 of orders 4, 4")
+    assert len(fallbacks) == 2
+
+
+def test_certified_rank_exact_note_names_the_bareiss_blocks_by_order(monkeypatch):
+    # a failed kernel check on the two blocks of order 8 at degree 5 sends only them to Bareiss
+    vanishes = permmatrix._vanishes
+    monkeypatch.setattr(permmatrix, "_vanishes", lambda a, kernel: len(a) != 8 and vanishes(a, kernel))
+    fallbacks = _spy(monkeypatch, "_bareiss_rank")
+    cert = permmatrix.certified_rank(5)
+    assert cert.rank == 70
+    assert "orders 4, 4, 8, 8, 16, 16, 32, 32" in cert.note
+    assert cert.note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 6 of them, "
+                              "the Bareiss fallback the 2 of orders 8, 8")
+    assert len(fallbacks) == 2
 
 
 def test_certified_rank_exact_at_degree_seven():
@@ -737,7 +888,7 @@ def test_certified_rank_exact_at_degree_seven():
     assert cert.rank == 924
     assert cert.method == "exact-fraction-free"
     assert "cycle types 5+2 and 4+3" in cert.note
-    assert cert.note.count(f"kernel check mod {FIXED_PRIME}") == 24
+    assert cert.note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 24 of them")
     assert "Bareiss" not in cert.note
 
 
