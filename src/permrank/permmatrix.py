@@ -10,15 +10,16 @@ canonical (lexicographic) order.  Two 0/1 matrices are built:
   group algebra, which left_multiplication_matrix builds independently.
 
 Storage is bit-packed (bitmatrix.BinaryMatrix); rows become residues only
-inside elimination.
-Every entry is read from one slab.  Entry (pi, sigma) is 1 when pi . sigma,
-a conjugate of sigma . pi, is an n-cycle.  The first s = (n-2)! permutations
-form the subgroup H fixing the first two points and each run of s columns is
-a coset c . H, so M[pi, c . h] = slab[rank(pi . c), h] for the slab
-M[:, :s], made from the multiplication table of H.  The build gathers slab
-rows straight into each chunk of matrix rows, one gather per chunk for
-every coset; the certificates read from it only the n!/(m1 m2) columns
-they need (below), so they never make the n! x n! matrix.
+inside elimination.  Every entry is read from one slab.  Entry (pi, sigma)
+is 1 when pi . sigma, a conjugate of sigma . pi, is an n-cycle.  The first
+s = (n-2)! permutations form the subgroup H fixing the first two points,
+and each run of s columns is a coset c . H, so M[pi, c . h] =
+slab[rank(pi . c), h] for the slab M[:, :s], made from the multiplication
+table of H; degree 8 gathers its slab over S_6 from one over S_4 the same
+way (S_4 < S_6 < S_8).  A gather takes byte rows slab[rank(x . c)] for a
+chunk of rows x and every coset c, ranked by one float32 matmul
+(perms.composition_ranks), exact since every sum is at most 8! - 1 < 2**24.
+The certificates read only the n!/(m1 m2) columns they need (below).
 
 Ranks are certified over Q by rank_exact's kernel check and mod random
 ~30-bit primes, a lower bound.  Neither certificate eliminates M itself;
@@ -70,14 +71,10 @@ onto units mod d, so every primitive d-th root is such a w^u.  Each prime
 thus costs tau(m1) tau(m2) eliminations: 24 of order 42 at degree 7, 16
 of order 336 at degree 8.
 
-Stacks.  Blocks of one shape are eliminated together: _echelon_mod_p
-takes a stack of matrices and makes one pass over the columns for all of
-them, so the Python cost of a column is paid once per stack, not once per
-block.  The stacks of one shape are as even as they can be and hold at
-most _STACK_BYTES of residues, or one block: 3 stacks of 8 for the 24
-degree-7 blocks, each degree-8 block on its own.  The exact
-certificate stacks its equal-order blocks the same way, and rank_mod_prime
-and rank_exact pass a stack of one.
+Stacks.  Blocks of one shape are eliminated together (_stacked_echelons):
+_echelon_mod_p pays each column's Python cost once for a whole stack.  The
+exact certificate stacks its equal-order blocks the same way, and
+rank_mod_prime and rank_exact pass a stack of one.
 """
 
 from __future__ import annotations
@@ -109,7 +106,7 @@ _PRIME_HIGH = 1 << 31
 
 _CHECK_PRIME = 2147483629  # rank_exact's one prime, the largest below 2**31
 
-_BUILD_CHUNK_ROWS = 1024  # rows per slab gather: a 0.5 MB index at degree 8, not the full 18 MB
+_BUILD_CHUNK_ROWS = 1024  # rows per gather; 4096 raised the degree-8 build's peak RSS by about 4 MB
 
 # Most int64 residues in one elimination stack: the 24 degree-7 blocks go in 3 stacks of 8, each
 # degree-8 block alone.  Larger stacks run a little faster but raise peak memory, since the kernel's
@@ -126,32 +123,36 @@ def _cycle_indicator(n: int) -> np.ndarray:
 
 def _slab(indicator: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """The packed slab ``slab[x, h] = indicator[rank(x . h)]`` over H = S_t on the last t points, and |H|."""
-    t = n - 2 if n >= 6 else n  # makes |H| whole bytes from n = 6 on
-    s = factorial(t)
-    sub = perms.perm_array(t)
-    mult = perms.perm_ranks(sub[:, sub])  # rank of h_i . h_r in S_t
+    *outer, t = range(n - 2, 3, -2) if n >= 6 else [n]  # |H| whole bytes from n = 6 on; S_4, S_6 at n = 8
+    s, sub = factorial(t), perms.perm_array(t)
+    mult = perms.composition_ranks(sub, perms.composition_weights(sub))  # rank of h_i . h_r in S_t
     # slab row c . h_i holds indicator[rank(c . h_i . h_r)] at column r
-    return np.packbits(np.take(indicator.reshape(-1, s), mult, axis=1).reshape(-1, s), axis=1), s
+    slab = np.packbits(np.take(indicator.reshape(-1, s), mult, axis=1).reshape(-1, s), axis=1)
+    for t in reversed(outer):
+        perm_arr = perms.perm_array(n)  # its first t! rows are S_t, a run of s per coset of the last level
+        slab, s = _gather(slab, perm_arr, perm_arr[:factorial(t):s]), factorial(t)
+    return slab, s
+
+
+def _gather(slab: np.ndarray, rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Row i: the byte rows ``slab[rank(rows[i] . c)]`` for c in ``reps``, one checked take per chunk."""
+    weights = perms.composition_weights(reps)
+    out = np.empty((len(rows), len(reps), slab.shape[1]), dtype=np.uint8)
+    for r0 in range(0, len(rows), _BUILD_CHUNK_ROWS):
+        chunk = slice(r0, r0 + _BUILD_CHUNK_ROWS)
+        idx = perms.composition_ranks(rows[chunk], weights)
+        if idx.min() < 0 or idx.max() >= len(slab):
+            raise IndexError(f"slab row out of range 0..{len(slab) - 1} at degree {rows.shape[1]}")
+        # mode="raise" would buffer the output and copy it twice; the range is checked above
+        np.take(slab, idx, axis=0, out=out[chunk], mode="clip")
+    return out.reshape(len(rows), -1)
 
 
 def _build_cycle_matrix(n: int, invert_rows: bool) -> BinaryMatrix:
-    if not 1 <= n <= perms.MAX_ENUM_DEGREE:
-        raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
-    order = factorial(n)
-    perm_arr = perms.perm_array(n)
+    perm_arr = perms.perm_array(n)  # refuses degrees outside 1..MAX_ENUM_DEGREE
     slab, s = _slab(_cycle_indicator(n), n)
-    # the quotient form is the product form with row pi taken from pi^-1
-    rows = perm_arr if not invert_rows else np.argsort(perm_arr, axis=1).astype(np.int8)
-    reps = perm_arr[::s]  # one representative c per coset c . H, in column order
-    packed = np.empty((order, len(reps), slab.shape[1]), dtype=np.uint8)
-    for r0 in range(0, order, _BUILD_CHUNK_ROWS):
-        chunk = slice(r0, r0 + _BUILD_CHUNK_ROWS)
-        idx = perms.perm_ranks(rows[chunk][:, reps])  # slab row of pi . c for each row pi and coset c
-        if idx.min() < 0 or idx.max() >= len(slab):
-            raise IndexError(f"slab row out of range 0..{len(slab) - 1} at degree {n}")
-        # mode="raise" would buffer the output and copy it twice; the range is checked above
-        np.take(slab, idx, axis=0, out=packed[chunk], mode="clip")
-    return BinaryMatrix(order, packed.reshape(order, -1), n)
+    rows = np.argsort(perm_arr, axis=1).astype(np.int8) if invert_rows else perm_arr  # pi^-1: quotient form
+    return BinaryMatrix(factorial(n), _gather(slab, rows, perm_arr[::s]), n)  # one c per coset c . H
 
 
 def cycle_product_matrix(n: int) -> BinaryMatrix:
@@ -174,9 +175,8 @@ def left_multiplication_matrix(n: int) -> BinaryMatrix:
     """
     if not 1 <= n <= MAX_OPERATOR_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_OPERATOR_DEGREE}, got {n}")
-    order = factorial(n)
     q = group_algebra.cyclic_class_sum(n)
-    dense = np.zeros((order, order), dtype=np.uint8)
+    dense = np.zeros((factorial(n), factorial(n)), dtype=np.uint8)
     for g in perms.all_perms(n):
         col = perms.perm_rank(g)
         product = q * group_algebra.basis(g)
@@ -402,8 +402,8 @@ def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
         for lam in cycle_types
     )
     m1, m2 = (lcm(*lam) for lam in cycle_types)
-    # rank maps of one step: pi -> pi . a and pi -> b . pi on rows,
-    # sigma -> a . sigma and sigma -> sigma . b on columns
+    # rank maps of one step: pi -> pi . a, b . pi on rows and sigma -> a . sigma, sigma . b on columns;
+    # perms.composition_ranks was slower for them (5-6 -> 11-12 ms at degree 7, 141-147 -> 197-207 ms at 8)
     right_a, left_b = perms.perm_ranks(perm_arr[:, a]), perms.perm_ranks(b[perm_arr])
     left_a, right_b = perms.perm_ranks(a[perm_arr]), perms.perm_ranks(perm_arr[:, b])
     cols = _orbit_minima(left_a, m1, right_b, m2)

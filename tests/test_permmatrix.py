@@ -142,6 +142,43 @@ def test_build_refuses_a_slab_index_out_of_range(monkeypatch):
         permmatrix.cycle_product_matrix(6)
 
 
+def test_build_refuses_an_inner_slab_index_out_of_range(monkeypatch):
+    # degree 8 gathers its slab over S_6 from the 3-byte slab over S_4; only that one is cut short
+    gather = permmatrix._gather
+
+    def short_inner_slab(slab, rows, reps):
+        return gather(slab[:-1] if slab.shape[1] == 3 else slab, rows, reps)
+
+    monkeypatch.setattr(permmatrix, "_gather", short_inner_slab)
+    with pytest.raises(IndexError, match=f"out of range 0..{factorial(8) - 2} "):
+        permmatrix.cycle_product_matrix(8)
+
+
+@pytest.mark.parametrize("form", ["product", "quotient"])
+def test_degree_8_build_ranks_without_the_oracle(monkeypatch, form):
+    # perm_ranks is the oracle the tests check the build against, so the slab and the
+    # gathers must not use it; the cycle indicator, which they read, is made beforehand
+    indicator = permmatrix._cycle_indicator(8)
+    monkeypatch.setattr(permmatrix, "_cycle_indicator", lambda n: indicator)
+
+    def oracle(perm_arr):
+        raise AssertionError("the build called perms.perm_ranks")
+
+    monkeypatch.setattr(perms, "perm_ranks", oracle)
+    mat = getattr(permmatrix, f"cycle_{form}_matrix")(8)
+    assert hashlib.sha256(mat.packed.tobytes()).hexdigest() == PACKED_SHA256[8, form]
+
+
+def test_degree_8_slab_matches_the_one_level_slab():
+    indicator = permmatrix._cycle_indicator(8)
+    sub = perms.perm_array(6)
+    one_level = np.packbits(
+        np.take(indicator.reshape(-1, 720), perms.perm_ranks(sub[:, sub]), axis=1).reshape(-1, 720), axis=1)
+    slab, s = permmatrix._slab(indicator, 8)
+    assert s == 720
+    assert np.array_equal(slab, one_level)
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_row_and_column_sums_of_the_coset_build(n):
     mat = permmatrix.cycle_product_matrix(n)

@@ -88,6 +88,38 @@ def test_perm_array_rejects_out_of_range(n):
         perms.perm_array(n)
 
 
+def _composition_ranks(left, right):
+    return perms.composition_ranks(left, perms.composition_weights(right))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_composition_ranks_match_perm_ranks_on_every_pair(n):
+    group = perms.perm_array(n)
+    ranks = _composition_ranks(group, group)
+    assert ranks.shape == (len(group), len(group)) and np.issubdtype(ranks.dtype, np.integer)
+    assert np.array_equal(ranks, perms.perm_ranks(group[:, group]))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_composition_ranks_match_perm_ranks_on_samples(n):
+    group = perms.perm_array(n)
+    rng = np.random.default_rng(n)
+    # the first and last permutations make the ranks 0 and n! - 1 appear
+    left = group[np.r_[0, len(group) - 1, rng.integers(len(group), size=500)]]
+    right = group[np.r_[0, len(group) - 1, rng.integers(len(group), size=60)]]
+    ranks = _composition_ranks(left, right)
+    assert ranks.min() == 0 and ranks.max() == factorial(n) - 1
+    assert np.array_equal(ranks, perms.perm_ranks(left[:, right]))
+
+
+def test_composition_ranks_stay_exact_up_to_the_float32_bound():
+    # 10! - 1 < 2**24 <= 11! - 1: degree 10 is the last whose sums float32 holds exactly
+    reverse = np.arange(9, -1, -1, dtype=np.int8)[None]
+    assert _composition_ranks(reverse, np.arange(10, dtype=np.int8)[None]).tolist() == [[factorial(10) - 1]]
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        perms.composition_weights(np.arange(11, dtype=np.int8)[None])
+
+
 def test_rank_matches_enumeration_order():
     for n in range(1, 6):
         assert [perms.perm_rank(p) for p in perms.all_perms(n)] == list(range(factorial(n)))
