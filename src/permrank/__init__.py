@@ -62,6 +62,7 @@ from .twoway import (
     Outcome,
     TwoWayDFA,
     accepts,
+    accepts_all,
     all_strings,
     comm_matrix,
     distinct_comm_matrix,

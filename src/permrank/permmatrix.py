@@ -116,9 +116,7 @@ _STACK_BYTES = 1 << 17
 
 def _cycle_indicator(n: int) -> np.ndarray:
     """is_cycle[r]: whether the permutation of rank r is a single n-cycle."""
-    is_cycle = np.zeros(factorial(n), dtype=bool)
-    is_cycle[perms.perm_ranks(np.array(perms.cyclic_perms(n), dtype=np.int8))] = True
-    return is_cycle
+    return perms.cyclic_mask(perms.perm_array(n))
 
 
 def _slab(indicator: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -176,12 +174,11 @@ def left_multiplication_matrix(n: int) -> BinaryMatrix:
     if not 1 <= n <= MAX_OPERATOR_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_OPERATOR_DEGREE}, got {n}")
     q = group_algebra.cyclic_class_sum(n)
-    dense = np.zeros((factorial(n), factorial(n)), dtype=np.uint8)
-    for g in perms.all_perms(n):
-        col = perms.perm_rank(g)
-        product = q * group_algebra.basis(g)
-        for h, coeff in product.coeffs.items():
-            dense[perms.perm_rank(h), col] = coeff
+    ranks = {g: r for r, g in enumerate(perms.all_perms(n))}  # all_perms is in rank order
+    dense = np.zeros((len(ranks), len(ranks)), dtype=np.uint8)
+    for g, col in ranks.items():
+        for h, coeff in (q * group_algebra.basis(g)).coeffs.items():
+            dense[ranks[h], col] = coeff
     return BinaryMatrix.from_dense(dense, n)
 
 

@@ -129,6 +129,21 @@ def perm_rank(p: Perm) -> int:
     return r
 
 
+def cyclic_mask(perm_arr: np.ndarray) -> np.ndarray:
+    """:func:`is_cyclic` of every row of an (m, n) permutation array.
+
+    A row p is one n-cycle when the orbit of 0 first returns at step n, that
+    is p^k(0) != 0 for k = 1..n-1: n - 1 gathers for all rows at once.
+    """
+    m, n = perm_arr.shape
+    flat, rows = perm_arr.ravel(), np.arange(0, m * n, n)
+    image, mask = 0, np.ones(m, dtype=bool)
+    for _ in range(n - 1):  # image = p^k(0)
+        image = flat[rows + image]
+        mask &= image != 0
+    return mask
+
+
 def perm_array(n: int) -> np.ndarray:
     """All n! permutations of degree ``n`` as an int8 array of shape (n!, n), in rank order.
 

@@ -38,6 +38,10 @@ read off that composition.  One explorer walks the tables for every caller
 and runs each (table, symbol) step once; breadth-first in alphabet order,
 it labels each table with its shortlex-least word.  to_dfa's states are the
 prefix tables it reaches.
+
+run is the one scalar simulator; accepts_all runs many machines on many
+words as the lanes of one lockstep numpy simulation, the oracle against
+which verify checks to_dfa, with the same budget and answers as run.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ MAX_CONVERT_STATES = 5
 
 #: Most distinct crossing tables one walk may number.
 MAX_TABLES = 100_000
+
+#: Lanes per lockstep pass of accepts_all: its working set is about 50 bytes
+#: a lane, and fewer lanes a pass cost more numpy calls per lane.
+_LANES = 2048
 
 #: Keys of the JSON wire format: the automaton, and each entry of its "delta".
 _JSON_KEYS = frozenset({"states", "alphabet", "initial", "accepting", "delta"})
@@ -187,7 +195,10 @@ def run(a: TwoWayDFA, w: str, trace: bool = False):
     The trace lists (state, position) configurations, position 0 being the
     left endmarker.
     """
-    tape = [LEFT_MARK, *(_check_symbol(a, ch) for ch in w), RIGHT_MARK]
+    foreign = set(w).difference(a.alphabet)
+    if foreign:
+        _check_symbol(a, next(ch for ch in w if ch in foreign))
+    tape = LEFT_MARK + w + RIGHT_MARK
     budget = len(a.states) * len(tape)
     state, pos = a.initial, 0
     steps = [(state, pos)] if trace else None
@@ -205,6 +216,65 @@ def run(a: TwoWayDFA, w: str, trace: bool = False):
 
 def accepts(a: TwoWayDFA, w: str) -> bool:
     return run(a, w) is Outcome.ACCEPT
+
+
+def accepts_all(automata, words) -> np.ndarray:
+    """The bool table ``[[accepts(a, w) for w in words] for a in automata]``.
+
+    Every (machine, word) pair is one lane of a lockstep simulation over
+    integer transition arrays built from each ``delta``, _LANES lanes at a
+    time; each step reads every lane's cell and moves it, and a halted lane
+    stays where it halted.  A lane not halted within its budget
+    |states| * (|w| + 2) has repeated a configuration and never halts, so
+    running every lane to the largest budget of its pass leaves it looped,
+    and rejected, as run finds.  A symbol outside a machine's alphabet
+    raises run's ValueError.
+    """
+    automata, words = list(automata), list(words)
+    foreign = {}  # per alphabet, the first word with a symbol outside it
+    for a in automata:
+        if a.alphabet not in foreign:
+            foreign[a.alphabet] = next((w for w in words if not set(w) <= set(a.alphabet)), None)
+        if foreign[a.alphabet] is not None:
+            run(a, foreign[a.alphabet])  # raises for its first foreign symbol
+    accepted = np.zeros(len(automata) * len(words), dtype=bool)
+    if not len(accepted):
+        return accepted.reshape(len(automata), len(words))
+    # A lane holds its state as a row, (state number) * len(symbols), and its
+    # cell on the words' concatenated tapes; row + symbol indexes the arrays.
+    symbols = {LEFT_MARK: 0, RIGHT_MARK: 1}
+    for a in automata:
+        symbols.update((c, len(symbols)) for c in a.alphabet if c not in symbols)
+    width = len(symbols)
+    size = sum(len(a.states) for a in automata) * width
+    to_row = np.arange(size, dtype=np.int32) // width * width  # no transition: stay
+    step = np.zeros(size, dtype=np.int8)  # -1 or 1 to move, 0 to halt
+    accepting = np.zeros(size, dtype=bool)
+    initial, base = [], 0
+    for a in automata:
+        row = {q: base + i * width for i, q in enumerate(a.states)}
+        for q in a.accepting:
+            accepting[row[q]:row[q] + width] = True
+        for (q, c), (target, move) in a.delta.items():
+            to_row[row[q] + symbols[c]] = row[target]
+            step[row[q] + symbols[c]] = 1 if move == "R" else -1
+        initial.append(row[a.initial])
+        base += len(a.states) * width
+    initial = np.array(initial, dtype=np.int32)
+    sizes = np.array([len(a.states) for a in automata], dtype=np.int32)
+    tape = np.array([symbols[c] for w in words for c in LEFT_MARK + w + RIGHT_MARK], dtype=np.int32)
+    cells = np.array([len(w) + 2 for w in words], dtype=np.int32)
+    starts = np.cumsum(cells, dtype=np.int32) - cells
+    for lo in range(0, len(accepted), _LANES):
+        lanes = np.arange(lo, min(lo + _LANES, len(accepted)), dtype=np.int32)
+        machine, word = np.divmod(lanes, len(words))
+        row, cell = initial[machine], starts[word]
+        read = row + tape[cell]
+        for _ in range((sizes[machine] * cells[word]).max() - 1):  # as many reads as the budget
+            row, cell = to_row[read], cell + step[read]
+            read = row + tape[cell]
+        accepted[lo:lo + _LANES] = accepting[read] & (step[read] == 0)
+    return accepted.reshape(len(automata), len(words))
 
 
 @dataclass(frozen=True)
@@ -465,7 +535,13 @@ def _sampled(a: TwoWayDFA, prefixes, suffixes):
 
 def _read(tables: _Tables, words):
     """The distinct tables of ``words``, and per word the index of its table among them."""
-    ids = np.array([reduce(tables.move, w, 0) for w in words], dtype=np.intp)
+    known, ids = {"": 0}, []  # a word whose prefix w[:-1] is known costs one move
+    for w in words:
+        if w not in known:
+            prefix = known.get(w[:-1])
+            known[w] = reduce(tables.move, w, 0) if prefix is None else tables.move(prefix, w[-1])
+        ids.append(known[w])
+    ids = np.array(ids, dtype=np.intp)
     used, ids = np.unique(ids, return_inverse=True)
     return [tables.tables[t] for t in used], ids
 
@@ -479,9 +555,19 @@ def _composed(row_tables, col_tables) -> np.ndarray:
 def _distinct(entries: np.ndarray):
     """Indices of the first of each distinct row, then of the first of each
     distinct column of those rows."""
-    rows = np.sort(np.unique(entries, axis=0, return_index=True)[1])
-    cols = np.sort(np.unique(entries[rows].T, axis=0, return_index=True)[1])
-    return rows, cols
+    rows = _firsts(entries)
+    return rows, _firsts(entries[rows].T)
+
+
+def _firsts(matrix: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first of each distinct row of a 0/1 matrix,
+    found by hashing its packed rows as bytes."""
+    if not matrix.shape[1]:  # every row is the empty row
+        return np.arange(min(len(matrix), 1))
+    packed = np.ascontiguousarray(np.packbits(matrix, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the first index wins
+    return np.sort(np.fromiter(firsts.values(), dtype=np.intp, count=len(firsts)))
 
 
 def schmidt_lower_bound(a: TwoWayDFA, prefixes, suffixes) -> int:

@@ -242,10 +242,11 @@ def _suite_automata(report: VerifyReport, max_n: None, seed: int) -> None:
     rng = random.Random(seed)
     strings = twoway.all_strings("ab", 6)
     samples = twoway.all_strings("ab", 3)
-    for i in range(100):
-        automaton = twoway.random_automaton(rng, n_states=3)
+    machines = [twoway.random_automaton(rng, n_states=3) for _ in range(100)]
+    oracle = twoway.accepts_all(machines, strings)  # direct simulation, every machine and word
+    for i, (automaton, accepted) in enumerate(zip(machines, oracle)):
         dfa = twoway.to_dfa(automaton)
-        mismatches = [w for w in strings if dfa.accepts(w) != twoway.accepts(automaton, w)]
+        mismatches = [w for w, ok in zip(strings, accepted.tolist()) if dfa.accepts(w) != ok]
         report.check(
             f"machine {i}: one-way conversion agrees",
             [],

@@ -154,6 +154,13 @@ def test_build_refuses_an_inner_slab_index_out_of_range(monkeypatch):
         permmatrix.cycle_product_matrix(8)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cycle_indicator_marks_the_ranks_of_the_cyclic_perms(n):
+    expected = np.zeros(factorial(n), dtype=bool)
+    expected[[perms.perm_rank(p) for p in perms.cyclic_perms(n)]] = True
+    assert np.array_equal(permmatrix._cycle_indicator(n), expected)
+
+
 @pytest.mark.parametrize("form", ["product", "quotient"])
 def test_degree_8_build_ranks_without_the_oracle(monkeypatch, form):
     # perm_ranks is the oracle the tests check the build against, so the slab and the

@@ -142,6 +142,14 @@ def test_cyclic_perms_counts_and_filter():
         assert set(cyclic) == {p for p in perms.all_perms(n) if perms.is_cyclic(p)}
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cyclic_mask_matches_is_cyclic(n):
+    perm_arr = perms.perm_array(n)
+    assert perms.cyclic_mask(perm_arr).tolist() == [perms.is_cyclic(p) for p in perms.all_perms(n)]
+    shuffled = perm_arr[np.random.default_rng(n).permutation(len(perm_arr))]
+    assert perms.cyclic_mask(shuffled).tolist() == [perms.is_cyclic(tuple(p)) for p in shuffled.tolist()]
+
+
 def test_conjugate_examples():
     p = (1, 2, 0)
     assert perms.conjugate(perms.identity(3), p) == p

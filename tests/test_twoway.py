@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from functools import reduce
@@ -7,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permrank import permmatrix, twoway
+from permrank import permmatrix, twoway, verify
 from permrank.twoway import (
     HALT_ACCEPT,
     HALT_REJECT,
     Outcome,
     TwoWayDFA,
     accepts,
+    accepts_all,
     all_strings,
     comm_matrix,
     distinct_comm_matrix,
@@ -104,6 +106,78 @@ def test_two_state_bounce_loops():
     )
     assert run(looper, "a") is Outcome.LOOP
     assert not accepts(looper, "a")
+
+
+# --- the lockstep simulator, lane by lane against run ---
+
+
+def _run_table(machines, words):
+    return np.array([[run(a, w) is Outcome.ACCEPT for w in words] for a in machines], dtype=bool)
+
+
+def _sweeper(loops: bool) -> TwoWayDFA:
+    """One accepting state that moves right to the right endmarker: it halts there
+    on its last budgeted step, |w| + 2, or bounces there forever when ``loops``."""
+    delta = {("q", c): ("q", "R") for c in "<ab"}
+    if loops:
+        delta[("q", ">")] = ("q", "L")
+    return TwoWayDFA(("q",), ("a", "b"), "q", frozenset({"q"}), delta)
+
+
+def test_accepts_all_matches_run_lane_by_lane(monkeypatch):
+    rng = random.Random(107)
+    # three alphabets in one call, numbered differently; every word is over "ab"
+    machines = [
+        random_automaton(rng, n_states=1 + i % 5, alphabet=("ab", "abc", "ba")[i % 3])
+        for i in range(60)
+    ]
+    machines += [_sweeper(False), _sweeper(True)]
+    machines.append(TwoWayDFA(("s",), ("a", "b"), "s", frozenset({"s"}), {}))  # halts on "<"
+    machines.append(TwoWayDFA(("s",), ("b", "a"), "s", frozenset(), {}))
+    words = ["".join(rng.choice("ab") for _ in range(rng.randint(0, 9))) for _ in range(80)]
+    words += ["", "", "abba"]
+    rng.shuffle(words)
+    expected = _run_table(machines, words)
+    assert accepts_all(machines, words).dtype == bool
+    assert np.array_equal(accepts_all(machines, words), expected)
+    monkeypatch.setattr(twoway, "_LANES", 37)  # many passes, the last one partial
+    assert np.array_equal(accepts_all(machines, words), expected)
+    assert expected[-4].all() and not expected[-3].any()  # halted accepting on ">", looped
+    assert expected[-2].all() and not expected[-1].any()  # halted on "<"
+
+
+def test_accepts_all_keeps_run_budget_exactly():
+    sweeper, looper = _sweeper(False), _sweeper(True)
+    for w in ["", "a", "ab" * 4 + "b"]:
+        outcome, steps = run(sweeper, w, trace=True)
+        assert outcome is Outcome.ACCEPT
+        assert len(steps) == len(sweeper.states) * (len(w) + 2)  # every configuration once
+        assert run(looper, w) is Outcome.LOOP
+    words = ["", "a", "ab" * 4 + "b"]
+    assert accepts_all([sweeper, looper], words).tolist() == [[True] * 3, [False] * 3]
+
+
+def test_accepts_all_refuses_foreign_symbols_as_run_does(last_a):
+    abc = random_automaton(random.Random(109), alphabet="abc")
+    for machines, words, foreign in [
+        ([last_a], ["ab", "acb"], "c"),
+        ([abc, last_a], ["ab", "cab"], "c"),  # only the second machine refuses
+        ([abc, last_a], ["ab", "cab", "bd"], "d"),  # the first machine refuses first
+        ([abc], ["ab", "bdc"], "d"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            accepts_all(machines, words)
+        with pytest.raises(ValueError) as expected:
+            _run_table(machines, words)
+        assert str(raised.value) == str(expected.value) == (
+            f"symbol {foreign!r} not in the automaton's alphabet"
+        )
+
+
+def test_accepts_all_empty_shapes(last_a):
+    assert accepts_all([], ["a", "xyz"]).shape == (0, 2)
+    assert accepts_all([last_a], []).shape == (1, 0)
+    assert accepts_all([], []).shape == (0, 0)
 
 
 def test_empty_prefix_behavior(always_accept):
@@ -311,6 +385,38 @@ def test_comm_matrix_dedup_matches_deduplicated_simulation():
         assert got_cols.tolist() == cols
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (1, 1), (9, 1), (40, 3), (30, 9), (25, 17)])
+def test_distinct_matches_first_occurrences_on_random_matrices(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for density in (0.0, 0.2, 0.5, 1.0):  # 0 and 1: every row equal
+        full = (rng.random(shape) < density).astype(np.uint8)
+        rows = _first_of_each(full)
+        cols = _first_of_each(full[rows].T)
+        got_rows, got_cols = twoway._distinct(full)
+        assert got_rows.dtype == got_cols.dtype == np.intp
+        assert got_rows.tolist() == rows
+        assert got_cols.tolist() == cols
+
+
+@pytest.mark.parametrize("side", ["prefix", "suffix"])
+def test_read_matches_a_full_reduce_per_word(side):
+    explorer = twoway._prefix_tables if side == "prefix" else twoway._suffix_tables
+    rng = random.Random(113)
+    for i in range(40):
+        machine = random_automaton(rng, n_states=1 + i % 5)
+        words = all_strings("ab", 3) + [
+            "".join(rng.choice("ab") for _ in range(rng.randint(0, 9))) for _ in range(10)
+        ]
+        words += rng.sample(words, 6)  # repeats
+        rng.shuffle(words)  # a word before its prefixes, and long words without them
+        tables, ids = twoway._read(explorer(machine), words)
+        reference = explorer(machine)
+        numbers = [reduce(reference.move, w, 0) for w in words]
+        used, expected_ids = np.unique(numbers, return_inverse=True)
+        assert ids.tolist() == expected_ids.tolist()
+        assert tables == [reference.tables[t] for t in used]
+
+
 def test_comm_matrix_long_labels_do_not_recurse(last_a):
     long_a = "b" * 2999 + "a"
     long_b = "ab" * 1500
@@ -436,3 +542,55 @@ def test_comm_matrix_refuses_more_tables_than_the_budget(last_a, monkeypatch):
     ):
         with pytest.raises(ValueError, match="crossing-table budget 4 exceeded"):
             build()
+
+
+# --- the automata suite's batched oracle ---
+
+
+def test_automata_suite_catches_a_wrong_conversion(monkeypatch):
+    convert = twoway.to_dfa
+
+    def flipped(machine):  # the initial state's acceptance is wrong, so the empty word is
+        dfa = convert(machine)
+        return dataclasses.replace(dfa, accepting=dfa.accepting ^ {dfa.initial})
+
+    monkeypatch.setattr(twoway, "to_dfa", flipped)
+    report = verify.run_suite("automata", seed=0)
+    assert report.cases == 300
+    failed = [f for f in report.failures if f.case.endswith("one-way conversion agrees")]
+    assert len(failed) == 100
+    first = random_automaton(random.Random(0), n_states=3)  # the suite's machine 0
+    dfa = flipped(first)
+    mismatches = [w for w in all_strings("ab", 6) if dfa.accepts(w) != accepts(first, w)]
+    assert "" in mismatches
+    assert failed[0].case == "machine 0: one-way conversion agrees"
+    assert failed[0].actual == repr(mismatches)
+
+
+#: Case count and the sha256 of the newline-joined case names of verify 'all',
+#: as the suite ran with one accepts call per machine and word.
+ALL_CASES = 389
+ALL_CASE_NAMES_SHA256 = "e5051c9194c0a08a606e490cff64b96e2b4ace1f72098c434c6bffd1877252ff"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_all_keeps_its_cases(monkeypatch, seed):
+    names = []
+    check = verify.VerifyReport.check
+
+    def recorded(self, case, *args, **kwargs):
+        names.append(case)
+        return check(self, case, *args, **kwargs)
+
+    monkeypatch.setattr(verify.VerifyReport, "check", recorded)
+    report = verify.run_suite("all", seed=seed)
+    assert report.ok
+    assert report.cases == len(names) == ALL_CASES
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == ALL_CASE_NAMES_SHA256
+    automata = names[-300:]
+    assert automata[:3] == [
+        "machine 0: one-way conversion agrees",
+        "machine 0: behavior count within ceiling",
+        "machine 0: rank bound vs minimal DFA",
+    ]
+    assert automata[-1] == "machine 99: rank bound vs minimal DFA"
