@@ -21,12 +21,16 @@ MAX_SAMPLED_LENGTH = 64
 
 #: Largest values of the flags whose work grows without bound, each under
 #: about 20 s on a 2-core x86-64 host, as verify.MAX_DEGREE: bound --max 650
-#: took 1.4 s, asym --n 5000 --digits 200000 6.8 s (mostly mpmath), and rank
-#: --k 8 --primes 30 17.2 s, each as a command.  Library functions take any value.
+#: took 1.4 s, asym --n 5000 --digits 200000 6.8 s (mostly mpmath), rank
+#: --k 8 --primes 30 17.2 s, and char --lambda 14,10,8,6,5,4,3,2,2,2,1,1,1,1
+#: at the identity class 18.9 s, each as a command.  Of the shapes of weight
+#: 60 that one has the most subshapes (224k), and the recursion visits each.
+#: Library functions take any value.
 MAX_BOUND_ROWS = 650
 MAX_ASYM_N = 5000
 MAX_ASYM_DIGITS = 200_000
 MAX_PRIMES = 30
+MAX_CHAR_WEIGHT = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,6 +144,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_char(args) -> int:
+    if sum(args.shape) > MAX_CHAR_WEIGHT:  # before the recursion, which also grows one frame deeper per part
+        raise ValueError(f"--lambda weight {sum(args.shape)} is above the limit of {MAX_CHAR_WEIGHT}")
     print(characters.character(args.shape, args.alpha))
     return 0
 

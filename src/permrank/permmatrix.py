@@ -10,16 +10,17 @@ canonical (lexicographic) order.  Two 0/1 matrices are built:
   group algebra, which left_multiplication_matrix builds independently.
 
 Storage is bit-packed (bitmatrix.BinaryMatrix); rows become residues only
-inside elimination.  Every entry is read from one slab.  Entry (pi, sigma)
-is 1 when pi . sigma, a conjugate of sigma . pi, is an n-cycle.  The first
-s = (n-2)! permutations form the subgroup H fixing the first two points,
-and each run of s columns is a coset c . H, so M[pi, c . h] =
-slab[rank(pi . c), h] for the slab M[:, :s], made from the multiplication
-table of H; degree 8 gathers its slab over S_6 from one over S_4 the same
-way (S_4 < S_6 < S_8).  A gather takes byte rows slab[rank(x . c)] for a
-chunk of rows x and every coset c, ranked by one float32 matmul
-(perms.composition_ranks), exact since every sum is at most 8! - 1 < 2**24.
-The certificates read only the n!/(m1 m2) columns they need (below).
+inside elimination.  The build reads every entry from one slab.  Entry
+(pi, sigma) is 1 when pi . sigma, a conjugate of sigma . pi, is an
+n-cycle.  The first s = (n-2)! permutations form the subgroup H fixing the
+first two points, and each run of s columns is a coset c . H, so
+M[pi, c . h] = slab[rank(pi . c), h] for the slab M[:, :s], made from the
+multiplication table of H; degree 8 gathers its slab over S_6 from one
+over S_4 the same way (S_4 < S_6 < S_8).  A gather takes byte rows
+slab[rank(x . c)] for a chunk of rows x and every coset c, ranked by one
+float32 matmul (perms.composition_ranks), exact since every sum is at most
+8! - 1 < 2**24.  The certificates gather only the n!/(m1 m2) columns they
+need (below), from the indicator itself as a one-column slab.
 
 Ranks are certified over Q by rank_exact's kernel check and mod random
 ~30-bit primes, a lower bound.  Neither certificate eliminates M itself;
@@ -80,7 +81,6 @@ rank_mod_prime and rank_exact pass a stack of one.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -387,8 +387,8 @@ def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
     the ranks of degree n.  ``a`` and ``b`` have the given cycle types and
     orders m1 and m2, and <a> x <b> acts freely (see _cycle_type_pair);
     r_i and s_j are the least-ranked members of the row orbits
-    {b^e . pi . a^d} and the column orbits {a^d . sigma . b^e}.  Only the
-    columns s_j are read from the slab, through one rank map per coset.
+    {b^e . pi . a^d} and the column orbits {a^d . sigma . b^e}.  They are
+    read by the build's _gather, with the indicator as a one-column slab.
     """
     n = sum(cycle_types[0])
     perm_arr = perms.perm_array(n)
@@ -410,16 +410,8 @@ def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
         rows[d, 0] = right_a[rows[d - 1, 0]]
     for e in range(1, m2):
         rows[:, e] = left_b[rows[:, e - 1]]
-    slab, s = _slab(indicator, n)
-    cosets = (cols // s).tolist()
-    symbols = np.empty(rows.shape + cols.shape, dtype=np.uint8)
-    for q in dict.fromkeys(cosets):  # cols ascend, so each coset's columns form one run
-        lo, hi = bisect_left(cosets, q), bisect_right(cosets, q)
-        h = cols[lo:hi] % s
-        bits = (slab[:, h >> 3] >> (7 - (h & 7)).astype(np.uint8)) & 1  # slab[:, h] unpacked
-        # M[pi, c . h] = slab[rank(pi . c), h] for c = perm_arr[q * s], read on the row orbits
-        symbols[..., lo:hi] = bits[perms.perm_ranks(perm_arr[:, perm_arr[q * s]])[rows]]
-    return symbols
+    symbols = _gather(indicator.astype(np.uint8)[:, None], perm_arr[rows.ravel()], perm_arr[cols])
+    return symbols.reshape(rows.shape + cols.shape)
 
 
 @cache

@@ -140,6 +140,13 @@ def test_char_weight_mismatch(capsys):
     assert "mismatch" in err
 
 
+def test_char_runs_at_the_weight_cap(capsys):
+    # the cap refuses only heavier shapes; a one-row shape has a subshape per weight
+    weight = cli.MAX_CHAR_WEIGHT
+    code, out, _ = run_cli(capsys, "char", "--lambda", str(weight), "--alpha", ",".join(["1"] * weight))
+    assert code == 0 and out.strip() == "1"
+
+
 def test_chartable_csv(capsys):
     code, out, _ = run_cli(capsys, "chartable", "3", "--format", "csv")
     assert code == 0
@@ -425,6 +432,8 @@ def test_verify_hooks_keeps_at_most_one_degree_of_characters():
      "symbol 'z' not in the automaton's alphabet"),
     (["2dfa", "commrank", "-a", str(DATA / "tenth_from_end.json"), "--prefix-len", "9",
       "--suffix-len", "2"], "crossing-table budget 100 exceeded"),
+    (["char", "--lambda", "400", "--alpha", ",".join(["1"] * 400)],
+     f"--lambda weight 400 is above the limit of {cli.MAX_CHAR_WEIGHT}"),
 ])
 def test_each_command_refuses_through_main_with_one_line(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(twoway, "MAX_TABLES", 100)  # only 2dfa commrank walks the tables

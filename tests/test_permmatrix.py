@@ -701,6 +701,45 @@ def test_slab_symbols_match_a_gather_from_the_pinned_matrix(n):
     assert np.array_equal(symbols, expected)
 
 
+def test_degree_8_symbols_match_is_cyclic_on_sampled_entries():
+    # G[d, e, i, j] = M[b^e . r_i . a^d, s_j], which is 1 iff s_j . b^e . r_i . a^d is an
+    # 8-cycle; the representatives come from _orbit_minima, tested on its own below
+    n = 8
+    lam, mu = permmatrix._cycle_type_pair(n)
+    m1, m2 = lcm(*lam), lcm(*mu)
+    a, b = _consecutive_cycles(n, lam), _consecutive_cycles(n, mu)
+    group = perms.perm_array(n)
+    rank_maps = [perms.perm_ranks(x) for x in (group[:, a], np.array(b)[group],
+                                               np.array(a)[group], group[:, b])]
+    row_reps = permmatrix._orbit_minima(rank_maps[0], m1, rank_maps[1], m2)  # pi . a, b . pi
+    col_reps = permmatrix._orbit_minima(rank_maps[2], m1, rank_maps[3], m2)  # a . sigma, sigma . b
+    symbols = permmatrix._group_symbols(permmatrix._cycle_indicator(n), (lam, mu))
+    assert symbols.shape == (m1, m2, len(row_reps), len(col_reps)) == (8, 15, 336, 336)
+    rng = random.Random(8)
+    seen = []
+    for _ in range(300):
+        d, e, i, j = (rng.randrange(k) for k in symbols.shape)
+        pi = perms.compose(_power(b, e), perms.compose(perms.perm_unrank(n, int(row_reps[i])), _power(a, d)))
+        sigma = perms.perm_unrank(n, int(col_reps[j]))
+        seen.append(int(symbols[d, e, i, j]))
+        assert seen[-1] == perms.is_cyclic(perms.compose(sigma, pi))
+    assert 0 < sum(seen) < len(seen)
+
+
+def test_certified_rank_modp_at_degree_8_is_pinned():
+    cert = permmatrix.certified_rank(8, method="modp", num_primes=1, seed=0)
+    assert (cert.rank, cert.method, cert.primes) == (3432, "modular-multiprime", (818216401,))
+    assert cert.blocks == permmatrix.BlockStructure(((8,), (5, 3)), 120, 120, 336, 16)
+
+
+def test_certificate_refuses_a_symbol_index_out_of_range(monkeypatch):
+    # the symbols go through the build's range-checked gather, so a short indicator is refused
+    indicator_of = permmatrix._cycle_indicator
+    monkeypatch.setattr(permmatrix, "_cycle_indicator", lambda n: indicator_of(n)[:-1])
+    with pytest.raises(IndexError, match=f"out of range 0..{factorial(7) - 2} at degree 7$"):
+        permmatrix.certified_rank(7, num_primes=1)
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_orbit_minima_match_orbits_walked_step_by_step(n):
     # the doubling of _orbit_minima against a search of each orbit, on the
