@@ -19,8 +19,8 @@ multiplication table of H; degree 8 gathers its slab over S_6 from one
 over S_4 the same way (S_4 < S_6 < S_8).  A gather takes byte rows
 slab[rank(x . c)] for a chunk of rows x and every coset c, ranked by one
 float32 matmul (perms.composition_ranks), exact since every sum is at most
-8! - 1 < 2**24.  The certificates gather only the n!/(m1 m2) columns they
-need (below), from the indicator itself as a one-column slab.
+8! - 1 < 2**24.  The certificates gather only their n!/(m1 m2) columns
+s_j = r_j^-1 (below), from the indicator itself as a one-column slab.
 
 Ranks are certified over Q by rank_exact's kernel check and mod random
 ~30-bit primes, a lower bound.  Neither certificate eliminates M itself;
@@ -40,11 +40,14 @@ the first with the largest m1 m2 is taken: 3 and 2+1 (6) at degree 3,
 6 and 3+2+1 (36) at degree 6, 5+2 and 4+3 (120) at degree 7, 8 and 5+3
 (120) at degree 8.
 
-Group matrix.  With rows b^e . r_i . a^d and columns a^-d' . s_j . b^-e'
-grouped by orbit, entry ((d, e, i), (d', e', j)) is G[d - d', e - e', i, j]
-for the symbols G[d, e, i, j] = M[b^e . r_i . a^d, s_j].  So up to a
-permutation M = sum_(d, e) kron(G[d, e], P1^d (x) P2^e), P1 and P2 the
-cyclic shifts of orders m1 and m2.
+Group matrix.  Let r_i be least in each row orbit {b^e . pi . a^d} and
+s_j = r_j^-1.  Column (d', e', j) = a^-d' . s_j . b^-e' is the inverse of
+row (d', e', j), so M is read as the group matrix [chi(x . y^-1)] of the
+n-cycle indicator chi, free on the columns as it is on the rows.  Entry
+((d, e, i), (d', e', j)) is G[d - d', e - e', i, j] for the symbols
+G[d, e, i, j] = chi(b^e . r_i . a^d . r_j^-1), so up to a permutation
+M = sum_(d, e) kron(G[d, e], P1^d (x) P2^e), P1 and P2 the cyclic shifts
+of orders m1 and m2.
 
 Representations over the field.  The shift P of order m is the companion
 matrix of x^m - 1 = prod_(d | m) Phi_d, whose factors are coprime over Q
@@ -184,12 +187,8 @@ def left_multiplication_matrix(n: int) -> BinaryMatrix:
 
 # --- primality and prime sampling (deterministic Miller-Rabin) ---
 
-@cache
 def is_prime(n: int) -> bool:
-    """Deterministic for n < 3.2e9 (witnesses 2, 3, 5, 7).
-
-    Cached: rank_mod_prime checks its prime once per block.
-    """
+    """Deterministic for n < 3.2e9 (witnesses 2, 3, 5, 7)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7):
@@ -253,7 +252,7 @@ def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> list[list[in
     stack, m, ncols = a.shape
     rows = a.view()
     rows.shape = (stack * m, ncols)  # row i of matrix j is rows[j * m + i]; raises where a view cannot do
-    starts = np.arange(0, stack * m, m)
+    starts = np.arange(stack) * m
     tops = starts.copy()  # the row at each matrix's rank, where its next pivot goes
     candidate = np.ones(stack * m, dtype=bool)  # rows at or below their matrix's rank
     is_pivot = np.zeros((stack, ncols), dtype=bool)
@@ -381,14 +380,13 @@ def _orbit_minima(inner: np.ndarray, m_inner: int, outer: np.ndarray, m_outer: i
 
 
 def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
-    """Symbols ``G[d, e, i, j] = M[b^e . r_i . a^d, s_j]`` of the group-matrix form of M.
+    """Symbols ``G[d, e, i, j] = chi(b^e . r_i . a^d . r_j^-1)`` of the group-matrix form of M.
 
-    M[pi, sigma] = indicator[rank(pi . sigma)] for a class indicator over
-    the ranks of degree n.  ``a`` and ``b`` have the given cycle types and
-    orders m1 and m2, and <a> x <b> acts freely (see _cycle_type_pair);
-    r_i and s_j are the least-ranked members of the row orbits
-    {b^e . pi . a^d} and the column orbits {a^d . sigma . b^e}.  They are
-    read by the build's _gather, with the indicator as a one-column slab.
+    chi is the class ``indicator`` over the ranks of degree n.  ``a`` and
+    ``b`` have the given cycle types and orders m1 and m2, and <a> x <b>
+    acts freely (see _cycle_type_pair); r_i is least in its row orbit
+    {b^e . pi . a^d}, and the columns are read at s_j = r_j^-1 (module
+    docstring) by the build's _gather, with chi as a one-column slab.
     """
     n = sum(cycle_types[0])
     perm_arr = perms.perm_array(n)
@@ -399,19 +397,19 @@ def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
         for lam in cycle_types
     )
     m1, m2 = (lcm(*lam) for lam in cycle_types)
-    # rank maps of one step: pi -> pi . a, b . pi on rows and sigma -> a . sigma, sigma . b on columns;
-    # perms.composition_ranks was slower for them (5-6 -> 11-12 ms at degree 7, 141-147 -> 197-207 ms at 8)
+    # rank maps of one step, pi -> pi . a and pi -> b . pi; perms.composition_ranks was
+    # slower for them (5-6 -> 11-12 ms at degree 7, 141-147 -> 197-207 ms at 8)
     right_a, left_b = perms.perm_ranks(perm_arr[:, a]), perms.perm_ranks(b[perm_arr])
-    left_a, right_b = perms.perm_ranks(a[perm_arr]), perms.perm_ranks(perm_arr[:, b])
-    cols = _orbit_minima(left_a, m1, right_b, m2)
-    rows = np.empty((m1, m2, len(cols)), dtype=np.int64)
-    rows[0, 0] = _orbit_minima(right_a, m1, left_b, m2)
+    reps = _orbit_minima(right_a, m1, left_b, m2)
+    rows = np.empty((m1, m2, len(reps)), dtype=np.int64)
+    rows[0, 0] = reps
     for d in range(1, m1):
         rows[d, 0] = right_a[rows[d - 1, 0]]
     for e in range(1, m2):
         rows[:, e] = left_b[rows[:, e - 1]]
-    symbols = _gather(indicator.astype(np.uint8)[:, None], perm_arr[rows.ravel()], perm_arr[cols])
-    return symbols.reshape(rows.shape + cols.shape)
+    cols = np.argsort(perm_arr[reps], axis=1)  # s_j = r_j^-1
+    symbols = _gather(indicator.astype(np.uint8)[:, None], perm_arr[rows.ravel()], cols)
+    return symbols.reshape(rows.shape + (len(reps),))
 
 
 @cache

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -32,6 +34,16 @@ def test_import_does_not_load_mpmath():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so every guard in the package must be a raise to hold there
+    sources = sorted((ROOT / "src" / "permrank").glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
 def test_rank_small(capsys):
@@ -117,6 +129,30 @@ def test_bound_markdown(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("| n |")
     assert "| 10 | 5188590 | 65672850 | 589410910 |" in lines
+
+
+def test_bound_plain(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--max", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "n     earlier lower bound   new lower bound       upper bound           ",
+        "1     1                     1                     1                     ",
+        "2     6                     6                     6                     ",
+        "3     33                    39                    39                    ",
+    ]
+
+
+def test_rank_refuses_primes_that_disagree(capsys, monkeypatch):
+    primes = permmatrix.certified_rank(7, method="modp", num_primes=2, seed=0).primes
+    ranks = itertools.count(900)  # a different residue rank at every prime
+    monkeypatch.setattr(permmatrix, "_blocked_rank", lambda symbols, p: next(ranks))
+    with pytest.raises(permmatrix.PrimeDisagreement, match="^residue ranks disagree: ") as refused:
+        permmatrix.certified_rank(7, num_primes=2, seed=0)
+    assert tuple(sorted(refused.value.ranks_by_prime)) == primes  # both sampled primes
+    assert sorted(refused.value.ranks_by_prime.values()) == [900, 901]
+    code, out, err = run_cli(capsys, "rank", "--k", "7")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: residue ranks disagree: ")
 
 
 def test_bound_csv_and_json(capsys):

@@ -243,6 +243,8 @@ def test_rank_mod_prime_basics():
     assert permmatrix.rank_mod_prime(np.eye(5, dtype=np.int64), FIXED_PRIME) == 5
     assert permmatrix.rank_mod_prime(np.ones((4, 4), dtype=np.int64), FIXED_PRIME) == 1
     assert permmatrix.rank_mod_prime(np.zeros((3, 3), dtype=np.int64), FIXED_PRIME) == 0
+    for shape in ((0, 3), (3, 0), (0, 0)):  # an empty matrix has rank 0
+        assert permmatrix.rank_mod_prime(np.zeros(shape, dtype=np.int64), FIXED_PRIME) == 0
 
 
 def test_rank_mod_prime_on_degree_four():
@@ -254,6 +256,8 @@ def test_rank_exact_basics():
     assert permmatrix.rank_exact(np.zeros((4, 4), dtype=np.int64)) == 0
     assert permmatrix.rank_exact(np.eye(6, dtype=np.int64)) == 6
     assert permmatrix.rank_exact([[1, 2], [2, 4]]) == 1
+    for shape in ((0, 3), (3, 0), (0, 0)):  # an empty matrix has rank 0
+        assert permmatrix.rank_exact(np.zeros(shape, dtype=np.int64)) == 0
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 6), (4, 20), (5, 70)])
@@ -663,7 +667,10 @@ def test_cycle_matrix_blocks_are_circulant(n):
     group = perms.all_perms(n)
     grid = [(d, e) for d in range(m1) for e in range(m2)]
     row_reps = sorted({min(row(d, e, g) for d, e in grid) for g in group})
-    col_reps = sorted({min(col(d, e, g) for d, e in grid) for g in group})
+    col_reps = [perms.perm_rank(perms.inverse(perms.perm_unrank(n, r))) for r in row_reps]  # s_j = r_j^-1
+    # the inverses of the row representatives meet each column orbit once
+    col_orbits = sorted({min(col(d, e, g) for d, e in grid) for g in group})
+    assert sorted(min(col(d, e, perms.perm_unrank(n, s)) for d, e in grid) for s in col_reps) == col_orbits
     assert len(row_reps) == len(col_reps) == factorial(n) // (m1 * m2)
     symbols = _symbols(permmatrix.cycle_product_matrix(n))
     assert symbols.shape == (m1, m2, len(row_reps), len(col_reps))
@@ -692,7 +699,10 @@ def test_slab_symbols_match_a_gather_from_the_pinned_matrix(n):
     col_maps = np.array([[perms.perm_ranks(a_pow[d][group[:, b_pow[e]]]) for e in range(m2)]
                          for d in range(m1)])  # a^d . sigma . b^e
     row_reps = np.unique(row_maps.min(axis=(0, 1)))
-    col_reps = np.unique(col_maps.min(axis=(0, 1)))
+    col_reps = perms.perm_ranks(np.argsort(group[row_reps], axis=1))  # s_j = r_j^-1
+    # the inverses of the row representatives meet each column orbit once
+    col_orbit_minima = col_maps.min(axis=(0, 1))
+    assert np.array_equal(np.sort(col_orbit_minima[col_reps]), np.unique(col_orbit_minima))
     rows = row_maps[:, :, row_reps]
     packed = permmatrix.cycle_product_matrix(n).packed
     expected = (packed[rows[..., None], col_reps >> 3] >> (7 - (col_reps & 7)).astype(np.uint8)) & 1
@@ -703,24 +713,22 @@ def test_slab_symbols_match_a_gather_from_the_pinned_matrix(n):
 
 def test_degree_8_symbols_match_is_cyclic_on_sampled_entries():
     # G[d, e, i, j] = M[b^e . r_i . a^d, s_j], which is 1 iff s_j . b^e . r_i . a^d is an
-    # 8-cycle; the representatives come from _orbit_minima, tested on its own below
+    # 8-cycle; the r_i come from _orbit_minima, tested on its own below, and s_j = r_j^-1
     n = 8
     lam, mu = permmatrix._cycle_type_pair(n)
     m1, m2 = lcm(*lam), lcm(*mu)
     a, b = _consecutive_cycles(n, lam), _consecutive_cycles(n, mu)
     group = perms.perm_array(n)
-    rank_maps = [perms.perm_ranks(x) for x in (group[:, a], np.array(b)[group],
-                                               np.array(a)[group], group[:, b])]
+    rank_maps = [perms.perm_ranks(x) for x in (group[:, a], np.array(b)[group])]
     row_reps = permmatrix._orbit_minima(rank_maps[0], m1, rank_maps[1], m2)  # pi . a, b . pi
-    col_reps = permmatrix._orbit_minima(rank_maps[2], m1, rank_maps[3], m2)  # a . sigma, sigma . b
     symbols = permmatrix._group_symbols(permmatrix._cycle_indicator(n), (lam, mu))
-    assert symbols.shape == (m1, m2, len(row_reps), len(col_reps)) == (8, 15, 336, 336)
+    assert symbols.shape == (m1, m2, len(row_reps), len(row_reps)) == (8, 15, 336, 336)
     rng = random.Random(8)
     seen = []
     for _ in range(300):
         d, e, i, j = (rng.randrange(k) for k in symbols.shape)
         pi = perms.compose(_power(b, e), perms.compose(perms.perm_unrank(n, int(row_reps[i])), _power(a, d)))
-        sigma = perms.perm_unrank(n, int(col_reps[j]))
+        sigma = perms.inverse(perms.perm_unrank(n, int(row_reps[j])))
         seen.append(int(symbols[d, e, i, j]))
         assert seen[-1] == perms.is_cyclic(perms.compose(sigma, pi))
     assert 0 < sum(seen) < len(seen)

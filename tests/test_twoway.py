@@ -290,6 +290,7 @@ def test_comm_matrix_dedup(always_accept, last_a):
 def test_schmidt_bound_examples(last_a, always_accept):
     assert schmidt_lower_bound(always_accept, ["", "a"], ["", "b"]) == 1
     assert schmidt_lower_bound(last_a, ["", "a", "b"], ["", "a", "b"]) == 2
+    assert schmidt_lower_bound(last_a, [], []) == 0  # no labels: the empty matrix has rank 0
 
 
 def test_schmidt_bound_monotone_in_suffixes(last_a):
