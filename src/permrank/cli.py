@@ -2,7 +2,7 @@
 
 Subcommands expose the verification suites and data dumps with
 deterministic, machine-readable output; randomness enters only through
-explicit --seed flags.
+--seed flags, which default to 0, so a run without one repeats.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ def _cmd_2dfa(args) -> int:
     try:
         automaton = twoway.TwoWayDFA.load(args.automaton)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load automaton: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot load automaton: {exc}") from exc
     if args.twoway_command == "run":
         if args.trace:
             outcome, steps = twoway.run(automaton, args.word, trace=True)
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--primes", type=_int_at_least(1, MAX_PRIMES), default=3, help="primes for the modular method"
     )
-    p.add_argument("--seed", type=int, default=None, help="seed for prime sampling")
+    p.add_argument("--seed", type=int, default=0, help="seed for prime sampling")
     p.add_argument("--dump-pbm", metavar="PATH", default=None, help="also write the matrix as a PBM image")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rank)
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     twoway_sub = p.add_subparsers(dest="twoway_command", required=True)
     r = twoway_sub.add_parser("run", help="simulate on one word")
     r.add_argument("-a", "--automaton", required=True)
-    r.add_argument("-w", "--word", required=True, default="")
+    r.add_argument("-w", "--word", required=True)
     r.add_argument("--trace", action="store_true")
     r.set_defaults(func=_cmd_2dfa)
     c = twoway_sub.add_parser("commrank", help="rank of a sampled communication matrix")

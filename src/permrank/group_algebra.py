@@ -49,13 +49,6 @@ class GroupAlgebraElement:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
         return hash((self.degree, frozenset(self.coeffs.items())))
 

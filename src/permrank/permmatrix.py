@@ -639,7 +639,7 @@ class RankCertificate:
     method: str  # 'exact-fraction-free' or 'modular-multiprime'
     primes: tuple[int, ...]
     note: str
-    degree: int = 0
+    degree: int
     blocks: BlockStructure | None = None  # modular path only
 
 
@@ -648,7 +648,7 @@ def certified_rank(
     *,
     method: str = "auto",
     num_primes: int = 3,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> RankCertificate:
     """Rank of the degree-n cycle product matrix with a method record.
 

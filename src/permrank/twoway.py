@@ -39,9 +39,10 @@ and runs each (table, symbol) step once; breadth-first in alphabet order,
 it labels each table with its shortlex-least word.  to_dfa's states are the
 prefix tables it reaches.
 
-run is the one scalar simulator; accepts_all runs many machines on many
-words as the lanes of one lockstep numpy simulation, the oracle against
-which verify checks to_dfa, with the same budget and answers as run.
+run simulates one word, and prefix_behavior's _simulate_region, the oracle
+for extend_behavior, one prefix; accepts_all runs many machines on many
+words as the lanes of one lockstep numpy simulation, verify's oracle for
+to_dfa, with the same budget and answers as run.
 """
 
 from __future__ import annotations
@@ -495,6 +496,10 @@ class CommMatrix:
     suffixes: tuple[str, ...]
     entries: np.ndarray = field(compare=False)
 
+    def __eq__(self, other) -> bool:  # the entries too; the generated hash reads the labels only
+        return (isinstance(other, CommMatrix) and (self.prefixes, self.suffixes) == (other.prefixes, other.suffixes)
+                and np.array_equal(self.entries, other.entries))
+
 
 def comm_matrix(a: TwoWayDFA, prefixes, suffixes) -> CommMatrix:
     """Communication matrix over the given sample rows and columns.
@@ -593,14 +598,13 @@ def random_automaton(
     rng: random.Random,
     n_states: int = 3,
     alphabet: str = "ab",
-    undefined_prob: float = 0.2,
 ) -> TwoWayDFA:
     """A random partial two-way DFA, seeded through ``rng``."""
     states = tuple(f"q{i}" for i in range(n_states))
     delta = {}
     for state in states:
         for symbol in (*alphabet, LEFT_MARK, RIGHT_MARK):
-            if rng.random() < undefined_prob:
+            if rng.random() < 0.2:
                 continue
             if symbol == LEFT_MARK:
                 moves = "R"

@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from permrank import characters, perms, reference_data, young
+from permrank import characters, perms, reference_data, verify, young
 
 
 def sign_of_class(alpha):
@@ -116,3 +116,27 @@ def test_class_size_matches_direct_count(n):
         counts[perms.cycle_type(p)] = counts.get(perms.cycle_type(p), 0) + 1
     for mu, count in counts.items():
         assert characters.class_size(mu) == count
+
+
+def test_characters_suite_reports_a_wrong_table(monkeypatch):
+    table = characters.character_table
+    monkeypatch.setattr(characters, "character_table", lambda n: [[v + 1 for v in row] for row in table(n)])
+    report = verify.run_suite("characters", max_n=1)
+    assert not report.ok
+    assert report.summary_lines()[0].endswith("[FAIL]")
+    assert (
+        "  FAIL row orthogonality, degree 1: expected [], got [((1,), (1,), 4)]  "
+        "(weighted character rows are orthogonal with norm n!)"
+    ) in report.summary_lines()
+
+
+def test_hooks_suite_reports_a_wrong_closed_form(monkeypatch):
+    monkeypatch.setattr(characters, "character_at_full_cycle", lambda lam: 0)
+    report = verify.run_suite("hooks", max_n=2)
+    assert [f.case for f in report.failures] == ["full-cycle characters, degree 1", "full-cycle characters, degree 2"]
+    assert report.summary_lines()[1:] == [
+        "  FAIL full-cycle characters, degree 1: expected [], got [((1,), 0, 1)]  "
+        "(the recursion matches the hook closed form, (-1)**(rows-1) on hooks and 0 off them)",
+        "  FAIL full-cycle characters, degree 2: expected [], got [((2,), 0, 1), ((1, 1), 0, -1)]  "
+        "(the recursion matches the hook closed form, (-1)**(rows-1) on hooks and 0 off them)",
+    ]

@@ -73,6 +73,15 @@ def test_rank_modp_seeded_deterministic(capsys):
     assert p1["primes"] == p2["primes"]
 
 
+def test_rank_without_seed_repeats_seed_0(capsys):
+    primes = []
+    for argv in (["rank", "--k", "7", "--json"],) * 2 + (["rank", "--k", "7", "--seed", "0", "--json"],):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        primes.append(json.loads(out)["primes"])
+    assert len(primes[0]) == 3 and primes[0] == primes[1] == primes[2]
+
+
 def test_rank_dump_pbm(capsys, tmp_path):
     target = tmp_path / "p2.pbm"
     code, _, _ = run_cli(capsys, "rank", "--k", "2", "--dump-pbm", str(target))

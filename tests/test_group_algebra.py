@@ -35,6 +35,18 @@ def test_zero_coefficients_dropped():
     assert a.support_size() == 1
 
 
+def test_equal_elements_built_in_different_orders_hash_equal():
+    s, t = (1, 0, 2), (2, 1, 0)
+    built = [
+        ga.GroupAlgebraElement(3, {s: 2, t: -1}),
+        ga.GroupAlgebraElement(3, {t: -1, (0, 1, 2): 0, s: 2}),
+        ga.basis(t) * ga.GroupAlgebraElement(3, {(0, 1, 2): -1}) + ga.basis(s) + ga.basis(s),
+    ]
+    assert all(b == built[0] and hash(b) == hash(built[0]) for b in built)
+    assert len(set(built)) == 1
+    assert built[0] != ga.GroupAlgebraElement(3, {s: 2}) and built[0] != ga.GroupAlgebraElement(4, {})
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         ga.basis((0, 1)) * ga.basis((0, 1, 2))

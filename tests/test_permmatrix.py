@@ -531,6 +531,27 @@ def test_certified_rank_modular_path_is_seeded():
     assert cert1.primes == cert2.primes
 
 
+@pytest.mark.parametrize("n, num_primes", [(7, 3), (8, 1)])
+def test_unseeded_certificate_equals_seed_0(n, num_primes):
+    assert permmatrix.certified_rank(n, num_primes=num_primes) == permmatrix.certified_rank(
+        n, num_primes=num_primes, seed=0
+    )
+
+
+def test_certified_rank_skips_a_repeated_prime(monkeypatch):
+    expected = permmatrix.certified_rank(4, method="modp", num_primes=3, seed=0)
+    draw, drawn = permmatrix.random_prime, []
+
+    def repeating(rng, modulus=1):  # every second draw repeats the one before, without touching rng
+        drawn.append(drawn[-1] if len(drawn) % 2 else draw(rng, modulus))
+        return drawn[-1]
+
+    monkeypatch.setattr(permmatrix, "random_prime", repeating)
+    cert = permmatrix.certified_rank(4, method="modp", num_primes=3, seed=0)
+    assert len(drawn) == 5 and len(set(drawn)) == 3
+    assert cert == expected and cert.primes == tuple(sorted(set(drawn)))
+
+
 def test_certified_rank_degree_eight(monkeypatch):
     builds = _spy(monkeypatch, "_build_cycle_matrix")
     cert = permmatrix.certified_rank(8, num_primes=1, seed=8)

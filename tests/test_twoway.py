@@ -278,6 +278,14 @@ def test_comm_matrix_entries(last_a):
     assert cm.prefixes == ("", "a", "b")
 
 
+def test_comm_matrix_equality_reads_the_entries(last_a, always_accept):
+    samples = all_strings("ab", 2)
+    one, same, other = (comm_matrix(m, samples, samples) for m in (last_a, last_a, always_accept))
+    assert one == same and hash(one) == hash(same)
+    assert one.prefixes == other.prefixes and one.suffixes == other.suffixes
+    assert one != other  # same labels, different entries
+
+
 def test_comm_matrix_dedup(always_accept, last_a):
     cm = distinct_comm_matrix(always_accept, 2, 2)
     assert cm.entries.shape == (1, 1)
