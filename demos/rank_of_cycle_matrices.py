@@ -21,8 +21,9 @@ print("degree | order | rank | expected | method")
 print("-" * 60)
 # Up to degree 6 the rank is exact over the rationals.  The matrix is split
 # into one integer block per pair of divisors of the orders of two cyclic
-# subgroups (the argument is in the permrank.permmatrix docstring); the
-# note printed for degree 6 names the blocks and what proved each one.
+# subgroups (the argument is in the permrank.permmatrix docstring); each
+# block's rank mod a few primes is proved rational by the Hadamard bound,
+# and the note printed for degree 6 names the blocks and the primes.
 for k in range(1, 7):
     cert = certified_rank(k)
     expected = comb(2 * k - 2, k - 1)

@@ -84,7 +84,7 @@ def _cmd_rank(args) -> int:
         "expected": expected,
         "method": cert.method,
         "primes": list(cert.primes),
-        "blocks": dataclasses.asdict(cert.blocks) if cert.blocks else None,
+        "blocks": dataclasses.asdict(cert.blocks),
         "note": cert.note,
         "elapsed_ms": elapsed_ms,
     }
@@ -96,16 +96,14 @@ def _cmd_rank(args) -> int:
             f"k={args.k}: rank {cert.rank}, expected {expected} [{status}] "
             f"({cert.method}, {elapsed_ms} ms)"
         )
-        if cert.primes:
-            print(f"primes: {', '.join(map(str, cert.primes))}")
-        if cert.blocks:
-            b = cert.blocks
-            print(
-                f"blocks: {b.count} of order {b.order} per prime, {b.eliminated} of them eliminated, "
-                f"from the subgroup <a> x <b> "
-                f"of order {b.subgroup_order} (cycle types "
-                f"{' and '.join(map(_partition_label, b.cycle_types))})"
-            )
+        print(f"primes: {', '.join(map(str, cert.primes))}")
+        b = cert.blocks
+        print(
+            f"blocks: {b.count} of order {b.order} per prime, {b.eliminated} of them eliminated, "
+            f"from the subgroup <a> x <b> "
+            f"of order {b.subgroup_order} (cycle types "
+            f"{' and '.join(map(_partition_label, b.cycle_types))})"
+        )
         print(f"note: {cert.note}")
     return 0 if cert.rank == expected else 1
 

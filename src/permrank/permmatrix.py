@@ -22,11 +22,20 @@ float32 matmul (perms.composition_ranks), exact since every sum is at most
 8! - 1 < 2**24.  The certificates gather only their n!/(m1 m2) columns
 s_j = r_j^-1 (below), from the indicator itself as a one-column slab.
 
-Ranks are certified over Q by rank_exact's kernel check and mod random
-~30-bit primes, a lower bound.  Neither certificate eliminates M itself;
-both split it by the argument below, which uses only that M[pi, sigma]
-depends on the conjugacy class of sigma . pi, none of the character theory
-the ranks confirm.  rank_exact never splits, so it checks the split.
+Both certificates rank M mod random ~30-bit primes, and neither eliminates
+M itself: both split it by the argument below, which uses only that
+M[pi, sigma] depends on the conjugacy class of sigma . pi, none of the
+character theory the ranks confirm.  rank_exact never splits, so it checks
+the split.  A residue rank is a lower bound on the rational rank, which is
+all the modular certificate claims.  The exact one also proves the upper
+bound, one rational block B at a time, by the multimodular Hadamard
+argument (von zur Gathen and Gerhard, Modern Computer Algebra): let r be
+the largest rank of B mod any prime drawn and P the product of those
+primes.  Each prime divides every (r+1)-minor of B, so P does, and by
+Hadamard's inequality the square of such a minor is at most the product of
+the r+1 largest squared row norms of B (or column norms).  Once P^2
+exceeds that product, every (r+1)-minor is a multiple of P smaller than P,
+hence 0, and B has rank r over Q.
 
 Invariance.  For permutations ``a`` of order m1 and ``b`` of order m2,
 pi -> b^e . pi . a^d and sigma -> a^-d . sigma . b^-e turn sigma . pi into
@@ -75,9 +84,8 @@ onto units mod d, so every primitive d-th root is such a w^u.  Each prime
 thus costs tau(m1) tau(m2) eliminations: 24 of order 42 at degree 7, 16
 of order 336 at degree 8.
 
-Stacks.  Blocks of one shape are eliminated together (_stacked_echelons):
-_echelon_mod_p pays each column's Python cost once for a whole stack.  The
-exact certificate stacks its equal-order blocks the same way, and
+Stacks.  Blocks of one shape are eliminated together (_stacked_ranks):
+_echelon_mod_p pays each column's Python cost once for a whole stack.
 rank_mod_prime and rank_exact pass a stack of one.
 """
 
@@ -87,8 +95,9 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
-from math import factorial, gcd, isqrt, lcm
+from itertools import accumulate, islice
+from math import factorial, gcd, isqrt, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -98,7 +107,7 @@ from .bitmatrix import BinaryMatrix, read_pbm, write_pbm  # write_pbm and read_p
 # perfbench/child.py reads both names to record the elimination kernel and integer type.
 numba, mpz = None, int
 
-#: Order cap for one exact elimination (rank_exact, or the largest block of the exact certificate).
+#: Order cap for rank_exact, and for the largest rational block of the exact certificate.
 MAX_EXACT_ORDER = 1000
 
 #: Largest degree of left_multiplication_matrix (order 720).
@@ -316,17 +325,17 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be a prime in (2**29, 2**31), got {p}")
 
 
-def _stacked_echelons(blocks, p: int, reduced: bool = False) -> Iterator[tuple[int, np.ndarray, list[int]]]:
-    """(index, echelon form mod ``p``, pivot columns) of each block, eliminated in stacks of equal shape.
+def _stacked_ranks(blocks, p: int) -> list[int]:
+    """Rank mod ``p`` of each block, eliminated in stacks of equal shape.
 
     The stacks of a shape differ in size by at most one block, and each
     holds at most _STACK_BYTES, or one block.  Each shape fills one int64
-    buffer in place, so a block is copied once, as it is reduced; an echelon
-    form is a view of that buffer, overwritten by the next stack.
+    buffer in place, so a block is copied once, as it is reduced.
     """
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for i, block in enumerate(blocks):
         by_shape.setdefault(block.shape, []).append(i)
+    ranks = [0] * len(blocks)
     for (m, n), members in by_shape.items():
         stacks = -(-len(members) // max(1, _STACK_BYTES // max(1, 8 * m * n)))
         size = -(-len(members) // stacks)  # as even as the budget allows
@@ -335,7 +344,9 @@ def _stacked_echelons(blocks, p: int, reduced: bool = False) -> Iterator[tuple[i
             chunk = members[lo:lo + size]
             for i, residues in zip(chunk, buffer):
                 np.remainder(blocks[i], p, out=residues)
-            yield from zip(chunk, buffer, _echelon_mod_p(buffer[:len(chunk)], p, reduced))
+            for i, pivots in zip(chunk, _echelon_mod_p(buffer[:len(chunk)], p)):
+                ranks[i] = len(pivots)
+    return ranks
 
 
 # --- the split by A = <a> x <b> (module docstring) ---
@@ -496,11 +507,71 @@ def _representation_blocks(symbols: np.ndarray, p: int | None = None) -> Iterato
         yield count, block
 
 
+def _class_ranks(symbols: np.ndarray, p: int, classes=None) -> list[int]:
+    """Rank mod ``p`` of each divisor class's rational block, for every class or those in ``classes``.
+
+    One Fourier block per class is eliminated, and its rank counted
+    phi(d1) phi(d2) times (module docstring, power map); classes are in
+    the order of _representation_blocks.
+    """
+    _check_prime(p)
+    blocks = list(_representation_blocks(symbols, p))
+    if classes is not None:
+        blocks = [blocks[i] for i in classes]
+    return [count * rank for (count, _), rank in zip(blocks, _stacked_ranks([b for _, b in blocks], p))]
+
+
 def _blocked_rank(symbols: np.ndarray, p: int) -> int:
     """Rank mod ``p``, p = 1 (mod lcm(m1, m2)), of the group matrix over Z_m1 x Z_m2 with these symbols."""
-    _check_prime(p)
-    counts, blocks = zip(*_representation_blocks(symbols, p))
-    return sum(counts[i] * len(pivots) for i, _, pivots in _stacked_echelons(blocks, p))
+    return sum(_class_ranks(symbols, p))
+
+
+def _hadamard_bounds(block: np.ndarray) -> list[int]:
+    """bounds[j] >= the square of every j x j minor of the integer ``block``, by Hadamard's inequality.
+
+    It is the product of the j largest squared row norms, or of the j
+    largest squared column norms if that is smaller, as exact Python ints.
+    """
+    top = int(np.abs(block).max(initial=0))
+    squares = block.astype(np.int64 if top * top * max(block.shape) < 1 << 63 else object) ** 2
+    rows, cols = (sorted(squares.sum(axis=axis).tolist(), reverse=True) for axis in (1, 0))
+    return [min(r, c) for r, c in zip(accumulate(rows, mul, initial=1), accumulate(cols, mul, initial=1))]
+
+
+def _distinct_primes(seed: int, modulus: int) -> Iterator[int]:
+    """Random primes p = 1 (mod ``modulus``) from ``seed``, each once: a repeated draw is skipped."""
+    rng, seen = random.Random(seed), set()
+    while True:
+        p = random_prime(rng, modulus)
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
+def _proved_rank(symbols: np.ndarray, primes: Iterator[int]) -> tuple[int, list[int], list[int], int]:
+    """Rank over Q of the group matrix with these symbols, proved class by class (module docstring).
+
+    Draws ``primes`` until every class has closed.  A class keeps r, the
+    largest residue rank its rational block has reached, and closes at
+    full rank, or once P**2, P the product of the primes that ranked it,
+    exceeds the Hadamard bound on the squared (r+1)-minors of its block.
+    Later primes eliminate only the open classes.  Returns the rank, the
+    primes drawn, the rational block orders and the largest closing bound.
+    """
+    bounds = [_hadamard_bounds(block) for _, block in _representation_blocks(symbols)]
+    orders = [len(b) - 1 for b in bounds]  # the blocks are square
+    ranks, used, product = [0] * len(bounds), [], 1
+    open_classes = list(range(len(bounds)))
+    while open_classes:
+        p = next(primes)
+        used.append(p)
+        product *= p
+        for i, rank in zip(open_classes, _class_ranks(symbols, p, open_classes)):
+            ranks[i] = max(ranks[i], rank)
+        open_classes = [i for i in open_classes
+                        if ranks[i] < orders[i] and product * product <= bounds[i][ranks[i] + 1]]
+    largest = max((b[r + 1] for b, r, order in zip(bounds, ranks, orders) if r < order), default=0)
+    return sum(ranks), used, orders, largest
 
 
 # --- exact rank over the rationals ---
@@ -523,25 +594,15 @@ def rank_exact(m) -> int:
             f"dimensions {shape} exceed exact-elimination cap {MAX_EXACT_ORDER}; "
             "use rank_mod_prime / the modular certification path"
         )
-    return _ranks_over_q([_as_int64(m)])[0][0]
-
-
-def _ranks_over_q(blocks) -> list[tuple[int, int | None]]:
-    """Rank over Q of each int64 block, and the prime whose kernel check proved it (None: Bareiss).
-
-    Equal-shape blocks are reduced mod p together (_stacked_echelons); each
-    is then checked on its own.  A block of full column rank mod p has no
-    kernel to check: its rank is at most its column count.
-    """
-    blocks = [a.T if a.shape[1] > a.shape[0] else a for a in blocks]  # the narrow side has the smaller kernel
-    results = [None] * len(blocks)
-    for i, echelon, pivots in _stacked_echelons(blocks, _CHECK_PRIME, reduced=True):
-        a = blocks[i]
-        if len(pivots) == a.shape[1] or _kernel_vanishes(a, echelon, pivots):
-            results[i] = len(pivots), _CHECK_PRIME
-        else:
-            results[i] = _bareiss_rank(a.astype(object)), None
-    return results
+    a = _as_int64(m)
+    if a.shape[1] > a.shape[0]:
+        a = a.T  # the narrow side has the smaller kernel
+    echelon = np.remainder(a, _CHECK_PRIME, out=np.empty(a.shape, dtype=np.int64))  # C-contiguous
+    pivots = _echelon_mod_p(echelon[None], _CHECK_PRIME, reduced=True)[0]
+    # of full column rank mod p, a has no kernel to check: its rank is at most its column count
+    if len(pivots) == a.shape[1] or _kernel_vanishes(a, echelon, pivots):
+        return len(pivots)
+    return _bareiss_rank(a.astype(object))
 
 
 def _kernel_vanishes(a: np.ndarray, echelon: np.ndarray, pivots: list[int]) -> bool:
@@ -618,12 +679,13 @@ class PrimeDisagreement(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """How the modular path split the matrix: ``count`` blocks of order ``order``.
+    """How each prime split the matrix: ``count`` blocks of order ``order``.
 
     The blocks come from the subgroup <a> x <b> of S_n x S_n, of order
     ``subgroup_order``, generated by permutations a and b of the two
     ``cycle_types``.  ``eliminated`` of them, one per class of equal rank,
-    are eliminated at each prime.
+    are eliminated at each prime; on the exact path later primes skip the
+    classes already proved.
     """
 
     cycle_types: tuple[tuple[int, ...], tuple[int, ...]]
@@ -640,7 +702,7 @@ class RankCertificate:
     primes: tuple[int, ...]
     note: str
     degree: int
-    blocks: BlockStructure | None = None  # modular path only
+    blocks: BlockStructure
 
 
 def certified_rank(
@@ -652,16 +714,18 @@ def certified_rank(
 ) -> RankCertificate:
     """Rank of the degree-n cycle product matrix with a method record.
 
-    ``exact`` (what ``auto`` picks while n! <= MAX_EXACT_ORDER) proves the
-    rational rank from the rational blocks of the module docstring, each
-    ranked as rank_exact ranks; MAX_EXACT_ORDER caps the largest block, so
-    degree 7 is allowed and 8 refused.  ``modp`` (``auto`` above) gives a
-    lower bound, the rank mod ``num_primes`` random ~30-bit primes
-    p = 1 (mod lcm(m1, m2)) from one modular block per pair of divisors;
-    primes that disagree raise PrimeDisagreement.  No n! x n! matrix is
-    made.  The note names the cycle types and, for ``exact``, each block's
-    order, how many blocks the kernel check proved and the orders of any
-    the Bareiss fallback proved.
+    Both methods draw distinct random ~30-bit primes p = 1 (mod lcm(m1, m2))
+    from ``seed`` and at each eliminate one modular block per pair of
+    divisors (class).  ``modp`` stops after ``num_primes`` primes and gives
+    a lower bound; primes that disagree raise PrimeDisagreement.  ``exact``
+    ignores ``num_primes`` and draws until the Hadamard bound of the module
+    docstring closes every class, which proves the rational rank;
+    MAX_EXACT_ORDER caps its largest rational block, so degree 7 is allowed
+    and 8 refused.  ``auto`` is ``exact`` while n! <= MAX_EXACT_ORDER and
+    ``modp`` above.  No n! x n! matrix is made.  The note names the cycle
+    types and, for ``exact``, each rational block's order, the number of
+    primes and the bit sizes of their product and of the largest bound it
+    had to exceed.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -675,7 +739,8 @@ def certified_rank(
     m1, m2 = (lcm(*lam) for lam in cycle_types)
     block_order = factorial(n) // (m1 * m2)
     if method == "exact":
-        # phi(d) divides phi(m) for d | m, so the block for (m1, m2) is the largest
+        # phi(d) divides phi(m) for d | m, so the block for (m1, m2) is the largest; the
+        # proof builds every rational block for its norms, up to order 10752 at degree 8
         largest = block_order * (len(_cyclotomic(m1)) - 1) * (len(_cyclotomic(m2)) - 1)
         if largest > MAX_EXACT_ORDER:
             raise ValueError(
@@ -684,34 +749,30 @@ def certified_rank(
             )
     symbols = _group_symbols(_cycle_indicator(n), cycle_types)
     types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
+    primes = _distinct_primes(seed, lcm(m1, m2))
+    classes = len(_divisors(m1)) * len(_divisors(m2))
+    blocks = BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, classes)
     if method == "exact":
-        blocks = [block for _, block in _representation_blocks(symbols)]
-        results = _ranks_over_q(blocks)
-        bareiss = [str(len(block)) for block, (_, p) in zip(blocks, results) if p is None]
+        rank, used, orders, largest = _proved_rank(symbols, primes)
         return RankCertificate(
-            rank=sum(rank for rank, _ in results),
+            rank=rank,
             method="exact-fraction-free",
-            primes=(),
+            primes=tuple(sorted(used)),
             note=(
-                f"rank over the rationals of {len(blocks)} cyclotomic blocks of orders "
-                f"{', '.join(str(len(block)) for block in blocks)} (cycle types {types_label}); "
-                f"the kernel check mod {_CHECK_PRIME} proved {len(blocks) - len(bareiss)} of them"
-                + (f", the Bareiss fallback the {len(bareiss)} of orders {', '.join(bareiss)}"
-                   if bareiss else "")
+                f"rank over the rationals of {len(orders)} cyclotomic blocks of orders "
+                f"{', '.join(map(str, orders))} (cycle types {types_label}); each block's rank is "
+                f"its largest residue rank r over {len(used)} prime{'s' * (len(used) > 1)} "
+                f"p = 1 (mod {lcm(m1, m2)}), proved once P^2 exceeds the Hadamard bound on its "
+                f"squared (r+1)-minors, P the product of the primes that ranked it; P has "
+                f"{prod(used).bit_length()} bits, the largest bound {largest.bit_length()} bits"
             ),
             degree=n,
+            blocks=blocks,
         )
-    rng = random.Random(seed)
-    sampled: dict[int, int] = {}
-    while len(sampled) < num_primes:
-        p = random_prime(rng, lcm(m1, m2))
-        if p in sampled:
-            continue
-        sampled[p] = _blocked_rank(symbols, p)
+    sampled = {p: _blocked_rank(symbols, p) for p in islice(primes, num_primes)}
     ranks = set(sampled.values())
     if len(ranks) != 1:
         raise PrimeDisagreement(sampled)
-    classes = len(_divisors(m1)) * len(_divisors(m2))
     return RankCertificate(
         rank=ranks.pop(),
         method="modular-multiprime",
@@ -726,5 +787,5 @@ def certified_rank(
                else f"{num_primes} independent primes agree")
         ),
         degree=n,
-        blocks=BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, classes),
+        blocks=blocks,
     )

@@ -59,7 +59,7 @@ def test_rank_json_payload(capsys):
     assert payload["k"] == 4
     assert payload["rank"] == payload["expected"] == 20
     assert payload["method"] == "exact-fraction-free"
-    assert payload["primes"] == []
+    assert payload["primes"] == list(permmatrix.certified_rank(4).primes) and len(payload["primes"]) == 1
     assert isinstance(payload["elapsed_ms"], int)
 
 
@@ -259,7 +259,7 @@ def test_rank_json_reports_blocks(capsys):
         "(cycle types 4 and 3+1)"
     ) in out.splitlines()
     code, out, _ = run_cli(capsys, "rank", "--k", "4", "--json")
-    assert json.loads(out)["blocks"] is None
+    assert json.loads(out)["blocks"] == blocks  # the exact path splits the same way
 
 
 @pytest.mark.parametrize(
@@ -383,10 +383,14 @@ def test_rank_json_reports_how_blocks_were_certified(capsys):
     assert code == 0
     note = json.loads(out)["note"]
     assert "orders 4, 4, 8, 8, 16, 16, 32, 32" in note
-    assert note.endswith(f"; the kernel check mod {permmatrix._CHECK_PRIME} proved 8 of them")
+    assert note.endswith(" largest residue rank r over 2 primes p = 1 (mod 30), proved once P^2 exceeds "
+                         "the Hadamard bound on its squared (r+1)-minors, P the product of the primes "
+                         "that ranked it; P has 60 bits, the largest bound 88 bits")
+    primes = json.loads(out)["primes"]
     code, out, _ = run_cli(capsys, "rank", "--k", "5")
     assert code == 0
     assert f"note: {note}" in out.splitlines()
+    assert f"primes: {primes[0]}, {primes[1]}" in out.splitlines()
 
 
 @pytest.mark.parametrize(

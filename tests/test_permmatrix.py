@@ -1,8 +1,9 @@
 import hashlib
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -375,16 +376,18 @@ def _low_rank(rng, rows, cols, rank):
     return tall if rows >= cols else tall.T
 
 
-def test_rank_exact_matches_bareiss_and_fractions_on_random_matrices():
+def test_rank_exact_matches_bareiss_and_fractions_on_random_matrices(monkeypatch):
+    bareiss = permmatrix._bareiss_rank
+    fallbacks = _spy(monkeypatch, "_bareiss_rank")
     rng = np.random.default_rng(6)
     for rows, cols in [(9, 9), (12, 6), (6, 12), (14, 14), (1, 7), (7, 1)]:
         for rank in range(min(rows, cols, 5) + 1):
             arr = _low_rank(rng, rows, cols, rank)
             assert np.abs(arr).max(initial=0) <= 10**6
             expected = fraction_rank(arr.tolist())
-            assert permmatrix._bareiss_rank(arr.astype(object)) == expected
-            assert permmatrix._ranks_over_q([arr]) == [(expected, permmatrix._CHECK_PRIME)]
+            assert bareiss(arr.astype(object)) == expected
             assert permmatrix.rank_exact(arr) == expected
+    assert fallbacks == []  # every rank was proved mod _CHECK_PRIME, none by the fallback
 
 
 def _spy(monkeypatch, name):
@@ -412,7 +415,7 @@ def test_rank_exact_exit_full_column_rank(monkeypatch):
     checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
     rows = [[1, 2], [3, 4], [5, 6]]
     assert permmatrix.rank_exact(rows) == permmatrix.rank_exact(np.array(rows).T) == fraction_rank(rows) == 2
-    assert permmatrix._ranks_over_q([np.array(rows)]) == [(2, FIXED_PRIME)]
+    assert permmatrix.rank_exact(np.array(rows)) == 2
     assert checks == [] and fallbacks == []
 
 
@@ -519,7 +522,8 @@ def test_certified_rank_exact_path():
     cert = permmatrix.certified_rank(4)
     assert cert.rank == 20
     assert cert.method == "exact-fraction-free"
-    assert cert.primes == ()
+    assert len(cert.primes) == 1 and cert.primes[0] % 12 == 1
+    assert cert.primes == permmatrix.certified_rank(4, method="modp", num_primes=1).primes  # the same first draw
 
 
 def test_certified_rank_modular_path_is_seeded():
@@ -581,7 +585,7 @@ def test_certified_rank_records_block_structure():
     assert cert.blocks == permmatrix.BlockStructure(((5,), (3, 2)), 30, 30, 4, 8)
     assert "sum of the ranks" in cert.note
     assert all(p % 30 == 1 for p in cert.primes)
-    assert permmatrix.certified_rank(4).blocks is None
+    assert permmatrix.certified_rank(4).blocks == permmatrix.BlockStructure(((4,), (3, 1)), 12, 12, 2, 6)
 
 
 def test_certified_rank_note_counts_the_primes():
@@ -961,37 +965,36 @@ def test_certified_rank_exact_note_names_block_orders():
     cert = permmatrix.certified_rank(6)
     assert cert.rank == 252
     assert cert.method == "exact-fraction-free"
-    assert cert.blocks is None
+    assert cert.blocks == permmatrix.BlockStructure(((6,), (3, 2, 1)), 36, 36, 20, 16)
     # 20 * phi(d1) * phi(d2) for d1, d2 | 6
     assert "orders 20, 20, 40, 40, 20, 20, 40, 40, 40, 40, 80, 80, 40, 40, 80, 80" in cert.note
     assert "cycle types 6 and 3+2+1" in cert.note
 
 
-def test_certified_rank_exact_note_names_how_each_block_was_certified(monkeypatch):
-    note = permmatrix.certified_rank(6).note
-    assert note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 16 of them")
-    assert note.count("kernel check") == 1 and "Bareiss" not in note
-    # with no kernel reconstructed, the four blocks of full rank mod p need none; the two others take Bareiss
-    monkeypatch.setattr(permmatrix, "_rational_reconstruction", lambda u, p: None)
-    fallbacks = _spy(monkeypatch, "_bareiss_rank")
-    cert = permmatrix.certified_rank(4)
-    assert cert.rank == 20
-    assert cert.note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 4 of them, "
-                              "the Bareiss fallback the 2 of orders 4, 4")
-    assert len(fallbacks) == 2
+def test_certified_rank_exact_note_names_how_each_block_was_certified():
+    cert = permmatrix.certified_rank(6)
+    assert len(cert.primes) == 4 and all(p % 6 == 1 for p in cert.primes)
+    assert prod(cert.primes).bit_length() == 122
+    assert cert.note.endswith("; each block's rank is its largest residue rank r over 4 primes "
+                              "p = 1 (mod 6), proved once P^2 exceeds the Hadamard bound on its squared "
+                              "(r+1)-minors, P the product of the primes that ranked it; P has 122 bits, "
+                              "the largest bound 183 bits")
+    one = permmatrix.certified_rank(4).note
+    assert "over 1 prime p = 1 (mod 12)" in one and one.endswith("; P has 31 bits, the largest bound 5 bits")
+    # every class of degrees 1..3 has full rank at the first prime, so no bound is left to exceed
+    assert permmatrix.certified_rank(3).note.endswith("; P has 31 bits, the largest bound 0 bits")
 
 
-def test_certified_rank_exact_note_names_the_bareiss_blocks_by_order(monkeypatch):
-    # a failed kernel check on the two blocks of order 8 at degree 5 sends only them to Bareiss
-    vanishes = permmatrix._vanishes
-    monkeypatch.setattr(permmatrix, "_vanishes", lambda a, kernel: len(a) != 8 and vanishes(a, kernel))
+def test_certified_rank_exact_runs_no_kernel_check_or_bareiss(monkeypatch):
+    # with every kernel check failing, rank_exact would fall back to Bareiss; the Hadamard
+    # proof eliminates no rational block, so neither runs
+    monkeypatch.setattr(permmatrix, "_vanishes", lambda a, kernel: False)
     fallbacks = _spy(monkeypatch, "_bareiss_rank")
     cert = permmatrix.certified_rank(5)
     assert cert.rank == 70
     assert "orders 4, 4, 8, 8, 16, 16, 32, 32" in cert.note
-    assert cert.note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 6 of them, "
-                              "the Bareiss fallback the 2 of orders 8, 8")
-    assert len(fallbacks) == 2
+    assert "kernel check" not in cert.note and "Bareiss" not in cert.note
+    assert fallbacks == []
 
 
 def test_certified_rank_exact_at_degree_seven():
@@ -999,9 +1002,120 @@ def test_certified_rank_exact_at_degree_seven():
     cert = permmatrix.certified_rank(7, method="exact")
     assert cert.rank == 924
     assert cert.method == "exact-fraction-free"
+    assert cert.blocks == permmatrix.BlockStructure(((5, 2), (4, 3)), 120, 120, 42, 24)
     assert "cycle types 5+2 and 4+3" in cert.note
-    assert cert.note.endswith(f"; the kernel check mod {FIXED_PRIME} proved 24 of them")
-    assert "Bareiss" not in cert.note
+    assert len(cert.primes) == 18 and all(p % 60 == 1 for p in cert.primes)
+    assert cert.note.endswith("over 18 primes p = 1 (mod 60), proved once P^2 exceeds the Hadamard bound "
+                              "on its squared (r+1)-minors, P the product of the primes that ranked it; "
+                              "P has 545 bits, the largest bound 1080 bits")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_certified_rank_exact_for_every_degree_up_to_seven(seed):
+    for n in range(1, 8):
+        cert = permmatrix.certified_rank(n, method="exact", seed=seed)
+        assert (cert.rank, cert.method, cert.degree) == (comb(2 * n - 2, n - 1), "exact-fraction-free", n)
+        assert len(set(cert.primes)) == len(cert.primes)
+
+
+def _open_classes(n, primes):
+    """Classes of the degree-n split that the product P of ``primes`` leaves open, recomputed from scratch.
+
+    r is the largest rank of the class's rational block mod any of the
+    primes (rank_mod_prime on the block itself, not its Fourier split).  A
+    class is open unless r is its order or P^2 exceeds the product of its
+    r + 1 largest squared row norms or of its r + 1 largest squared column norms.
+    """
+    symbols = permmatrix._group_symbols(permmatrix._cycle_indicator(n), permmatrix._cycle_type_pair(n))
+    open_classes = []
+    for i, (_, block) in enumerate(permmatrix._representation_blocks(symbols)):
+        r = max(permmatrix.rank_mod_prime(block, p) for p in primes)
+        squares = block.astype(object) ** 2
+        rows, cols = (sorted(squares.sum(axis=axis).tolist(), reverse=True)[:r + 1] for axis in (1, 0))
+        if r < len(block) and prod(primes) ** 2 <= min(prod(rows), prod(cols)):
+            open_classes.append(i)
+    return open_classes
+
+
+@pytest.mark.parametrize("n, seed", [(5, 0), (5, 1), (6, 0), (6, 2)])
+def test_certified_rank_exact_stops_at_the_first_prime_that_closes_every_class(n, seed):
+    primes = permmatrix.certified_rank(n, method="exact", seed=seed).primes
+    assert len(primes) >= 2
+    assert _open_classes(n, primes) == []
+    assert _open_classes(n, primes[:-1]) != []
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("short", ["first", "last"])
+def test_certified_rank_exact_takes_the_largest_residue_rank(monkeypatch, n, short):
+    # every class ranked one short at one prime, as at an unlucky prime; at the first, the next
+    # prime ranks every class again, since none closes on one prime at these degrees
+    primes = len(permmatrix.certified_rank(n, method="exact").primes)
+    class_ranks, calls, true = permmatrix._class_ranks, [], []
+
+    def one_short(symbols, p, classes=None):
+        calls.append(classes)
+        ranks = class_ranks(symbols, p, classes)
+        if len(calls) != (1 if short == "first" else primes):
+            return ranks
+        true.extend(ranks)
+        return [r - 1 for r in ranks]
+
+    monkeypatch.setattr(permmatrix, "_class_ranks", one_short)
+    cert = permmatrix.certified_rank(n, method="exact")
+    assert cert.rank == comb(2 * n - 2, n - 1) and len(cert.primes) == primes
+    assert min(true) >= 1
+    if short == "first":
+        assert sum(true) == cert.rank
+        assert len(calls[0]) == len(calls[1]) == cert.blocks.eliminated
+
+
+def _det(rows):
+    """Exact determinant by elimination over Fractions."""
+    m, det = [[Fraction(x) for x in row] for row in rows], Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot], det = m[pivot], m[c], -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def test_hadamard_bounds_hold_every_minor_and_take_the_smaller_side():
+    # row norms^2 25, 0 and column norms^2 16, 9: the columns give the smaller products
+    assert permmatrix._hadamard_bounds(np.array([[3, 4], [0, 0]])) == [1, 16, 0]
+    assert permmatrix._hadamard_bounds(np.array([[3, 0], [4, 0]])) == [1, 16, 0]
+    rng = np.random.default_rng(4)
+    for rows, cols in [(4, 4), (3, 5), (5, 3)]:
+        a = rng.integers(-3, 4, size=(rows, cols))
+        bounds = permmatrix._hadamard_bounds(a)
+        assert len(bounds) == min(rows, cols) + 1
+        for j in range(1, len(bounds)):
+            for r in itertools.combinations(range(rows), j):
+                for c in itertools.combinations(range(cols), j):
+                    assert _det(a[np.ix_(r, c)].tolist()) ** 2 <= bounds[j]
+    # entries whose squared sums leave int64 are summed as Python ints
+    big = 1 << 40
+    assert permmatrix._hadamard_bounds(np.array([[big, big], [big, -big]])) == [1, 2 * big**2, 4 * big**4]
+
+
+def test_certified_rank_exact_skips_a_repeated_prime(monkeypatch):
+    expected = permmatrix.certified_rank(6, method="exact", seed=0)
+    draw, drawn = permmatrix.random_prime, []
+
+    def repeating(rng, modulus=1):  # every second draw repeats the one before, without touching rng
+        drawn.append(drawn[-1] if len(drawn) % 2 else draw(rng, modulus))
+        return drawn[-1]
+
+    monkeypatch.setattr(permmatrix, "random_prime", repeating)
+    cert = permmatrix.certified_rank(6, method="exact", seed=0)
+    assert len(expected.primes) == 4 and len(drawn) == 7 and len(set(drawn)) == 4
+    assert cert == expected and cert.primes == tuple(sorted(set(drawn)))
 
 
 def test_certified_rank_exact_refused_above_cap():
