@@ -69,7 +69,10 @@ integer blocks of order (n!/(m1 m2)) phi(d1) phi(d2), 24 of orders 42 to
 672 at degree 7.  Mod a prime p = 1 (mod lcm(m1, m2)), Phi_d has the
 phi(d) primitive d-th roots of unity w as distinct roots, so C_d is
 similar to diag(w), and the rational block splits into phi(d1) phi(d2)
-blocks sum_(d, e) w1^d w2^e G[d, e] of order n!/(m1 m2).
+blocks sum_(d, e) w1^d w2^e G[d, e] of order n!/(m1 m2).  One primitive
+L-th root of unity w, L = lcm(m1, m2), gives every w1 = w^(L/d1) and
+w2 = w^(L/d2), so the block of class (d1, d2) weighs symbol (d, e) by
+w^((L/d1) d + (L/d2) e), and one table of powers of w serves every class.
 
 Power map.  Those phi(d1) phi(d2) blocks have equal rank, so one is
 eliminated and its rank counted phi(d1) phi(d2) times.  For u prime to
@@ -84,8 +87,10 @@ onto units mod d, so every primitive d-th root is such a w^u.  Each prime
 thus costs tau(m1) tau(m2) eliminations: 24 of order 42 at degree 7, 16
 of order 336 at degree 8.
 
-Stacks.  Blocks of one shape are eliminated together (_stacked_ranks):
-_echelon_mod_p pays each column's Python cost once for a whole stack.
+Stacks.  A prime's blocks all have one shape, so _class_ranks builds them
+in one int64 array, reduces it mod p in place and hands _echelon_mod_p
+contiguous slices of it, each within _STACK_BYTES or a single block: the
+kernel pays each column's Python cost once for a whole slice.
 rank_mod_prime and rank_exact pass a stack of one.
 """
 
@@ -120,10 +125,11 @@ _CHECK_PRIME = 2147483629  # rank_exact's one prime, the largest below 2**31
 
 _BUILD_CHUNK_ROWS = 1024  # rows per gather; 4096 raised the degree-8 build's peak RSS by about 4 MB
 
-# Most int64 residues in one elimination stack: the 24 degree-7 blocks go in 3 stacks of 8, each
-# degree-8 block alone.  Larger stacks run a little faster but raise peak memory, since the kernel's
-# scratch is about twice the stack; stacking degree-8 blocks is slower (they fall out of cache).
-_STACK_BYTES = 1 << 17
+# Most int64 residues in one elimination stack: the 24 degree-7 blocks of order 42 (331 KiB) go in
+# one stack, each degree-8 block of order 336 (882 KiB) alone.  One stack instead of three at 128 KiB
+# raised modp-k7's peak RSS by 0.3 MB (BENCH_25.json), as the kernel's scratch is about twice the
+# stack; stacking degree-8 blocks is slower (they fall out of cache).
+_STACK_BYTES = 1 << 20
 
 
 def _cycle_indicator(n: int) -> np.ndarray:
@@ -325,30 +331,6 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be a prime in (2**29, 2**31), got {p}")
 
 
-def _stacked_ranks(blocks, p: int) -> list[int]:
-    """Rank mod ``p`` of each block, eliminated in stacks of equal shape.
-
-    The stacks of a shape differ in size by at most one block, and each
-    holds at most _STACK_BYTES, or one block.  Each shape fills one int64
-    buffer in place, so a block is copied once, as it is reduced.
-    """
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, block in enumerate(blocks):
-        by_shape.setdefault(block.shape, []).append(i)
-    ranks = [0] * len(blocks)
-    for (m, n), members in by_shape.items():
-        stacks = -(-len(members) // max(1, _STACK_BYTES // max(1, 8 * m * n)))
-        size = -(-len(members) // stacks)  # as even as the budget allows
-        buffer = np.empty((size, m, n), dtype=np.int64)
-        for lo in range(0, len(members), size):
-            chunk = members[lo:lo + size]
-            for i, residues in zip(chunk, buffer):
-                np.remainder(blocks[i], p, out=residues)
-            for i, pivots in zip(chunk, _echelon_mod_p(buffer[:len(chunk)], p)):
-                ranks[i] = len(pivots)
-    return ranks
-
-
 # --- the split by A = <a> x <b> (module docstring) ---
 
 def _power_cycle_types(cycle_type) -> set[tuple[int, ...]]:
@@ -451,74 +433,79 @@ def _divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _representations(m: int, p: int | None) -> list[tuple[int, np.ndarray]]:
-    """(count, [R^0, ..., R^(m-1)]) for one irreducible representation R of Z_m per divisor d of m.
-
-    R is the companion matrix of Phi_d over Q (``p`` None), counted once,
-    and a primitive d-th root of unity mod p, counted phi(d) times.
-    """
-    out, w = [], _root_of_unity(m, p) if p is not None else None
+def _representations(m: int) -> list[np.ndarray]:
+    """[R^0, ..., R^(m-1)] for R the companion matrix of Phi_d over Q, one per divisor d of m."""
+    out = []
     for d in _divisors(m):
         phi = _cyclotomic(d)
-        if p is None:
-            r = np.eye(len(phi) - 1, k=-1, dtype=np.int64)
-            r[:, -1] = [-c for c in phi[:-1]]
-            powers = accumulate(range(m - 1), lambda x, _: x @ r, initial=np.eye(len(r), dtype=np.int64))
-            out.append((1, np.array(list(powers))))
-        else:  # w^(m/d) has order d
-            out.append((len(phi) - 1, np.array([pow(w, j * (m // d), p) for j in range(m)]).reshape(m, 1, 1)))
+        r = np.eye(len(phi) - 1, k=-1, dtype=np.int64)
+        r[:, -1] = [-c for c in phi[:-1]]
+        powers = accumulate(range(m - 1), lambda x, _: x @ r, initial=np.eye(len(r), dtype=np.int64))
+        out.append(np.array(list(powers)))
     return out
 
 
-def _representation_blocks(symbols: np.ndarray, p: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """(count, sum_(d, e) kron(G[d, e], R1^d (x) R2^e)) for each pair of _representations of m1 and m2.
+def _block_sums(weights: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """``weights @ symbols.reshape(m1 m2, -1)`` as int64, for integer ``weights`` of m1 m2 columns.
 
-    The rank over Q (``p`` None), or mod ``p``, of the group matrix with
-    these symbols is the sum of the block ranks times their counts.
+    One float64 matmul per 256 columns of the symbols: every sum has m1 m2
+    terms weight * 0/1, so it is exact while m1 m2 max|weight| < 2**53.
     """
-    m1, m2, order = symbols.shape[:3]
-    counts, weights, second = [], [], _representations(m2, p)
-    for c1, r1 in _representations(m1, p):
-        for c2, r2 in second:
-            # row (a, c, b, f) holds entry ((a, c), (b, f)) of R1^d (x) R2^e in column (d, e)
-            w = np.einsum("dab,ecf->acbfde", r1, r2).reshape(-1, m1 * m2)
-            counts.append(c1 * c2)
-            weights.append(w)
-    rows = list(accumulate((len(w) for w in weights), initial=0))
-    weights = np.concatenate(weights)
-    if p is not None:
-        weights %= p  # products of two residues, below p**2 < 2**62
-    # float64 products, 256 columns at a time: every sum has m1 m2 terms
-    # weight * 0/1, so it stays below 2**53 and is exact
-    if m1 * m2 * int(np.abs(weights).max()) >= 1 << 53:
-        raise OverflowError(f"block sums of {m1 * m2} weights up to {int(np.abs(weights).max())} "
+    m1, m2 = symbols.shape[:2]
+    top = int(np.abs(weights).max(initial=0))
+    if m1 * m2 * top >= 1 << 53:
+        raise OverflowError(f"block sums of {m1 * m2} weights up to {top} "
                             "could exceed 2**53, where float64 rounds")
     flat, weights = symbols.reshape(m1 * m2, -1), weights.astype(np.float64)
-    # one array per pair, popped as its block is made, so it lives no longer than the block
-    sums = [np.empty((hi - lo, order * order), dtype=np.int64) for lo, hi in zip(rows, rows[1:])]
-    for c0 in range(0, order * order, 256):
-        products = weights @ flat[:, c0:c0 + 256].astype(np.float64)
-        for s, lo, hi in zip(sums, rows, rows[1:]):
-            s[:, c0:c0 + 256] = products[lo:hi]
-    for count in counts:
-        block = sums.pop(0)
-        k = isqrt(len(block))
-        block = block.reshape(k, k, order, order).transpose(2, 0, 3, 1).reshape(order * k, -1)
-        yield count, block
+    sums = np.empty((len(weights), flat.shape[1]), dtype=np.int64)
+    for c0 in range(0, flat.shape[1], 256):
+        sums[:, c0:c0 + 256] = weights @ flat[:, c0:c0 + 256].astype(np.float64)
+    return sums
+
+
+def _representation_blocks(symbols: np.ndarray) -> Iterator[np.ndarray]:
+    """The rational block sum_(d, e) kron(G[d, e], R1^d (x) R2^e) for each pair of _representations of m1 and m2.
+
+    The rank over Q of the group matrix with these symbols is the sum of
+    the block ranks.
+    """
+    m1, m2, order = symbols.shape[:3]
+    second = _representations(m2)
+    for r1 in _representations(m1):
+        for r2 in second:
+            # row (a, c, b, f) holds entry ((a, c), (b, f)) of R1^d (x) R2^e in column (d, e)
+            sums = _block_sums(np.einsum("dab,ecf->acbfde", r1, r2).reshape(-1, m1 * m2), symbols)
+            k = isqrt(len(sums))
+            yield sums.reshape(k, k, order, order).transpose(2, 0, 3, 1).reshape(order * k, -1)
 
 
 def _class_ranks(symbols: np.ndarray, p: int, classes=None) -> list[int]:
     """Rank mod ``p`` of each divisor class's rational block, for every class or those in ``classes``.
 
-    One Fourier block per class is eliminated, and its rank counted
-    phi(d1) phi(d2) times (module docstring, power map); classes are in
-    the order of _representation_blocks.
+    Classes (d1, d2) are in the order of _representation_blocks.  Only the
+    requested classes' Fourier blocks sum_(d, e) w^((L/d1) d + (L/d2) e) G[d, e]
+    are built, w a primitive L-th root of unity, L = lcm(m1, m2); they are
+    reduced in one array and eliminated in slices of it, and each rank is
+    counted phi(d1) phi(d2) times (module docstring, power map).
     """
     _check_prime(p)
-    blocks = list(_representation_blocks(symbols, p))
+    m1, m2, order = symbols.shape[:3]
+    pairs = [(d1, d2) for d1 in _divisors(m1) for d2 in _divisors(m2)]
     if classes is not None:
-        blocks = [blocks[i] for i in classes]
-    return [count * rank for (count, _), rank in zip(blocks, _stacked_ranks([b for _, b in blocks], p))]
+        pairs = [pairs[i] for i in classes]
+    root_order = lcm(m1, m2)
+    w = _root_of_unity(root_order, p)
+    powers = np.array([pow(w, j, p) for j in range(root_order)], dtype=np.int64)
+    exponents = [(root_order // d1 * np.arange(m1)[:, None] + root_order // d2 * np.arange(m2)) % root_order
+                 for d1, d2 in pairs]
+    weights = powers[np.array(exponents, dtype=np.int64).reshape(len(pairs), m1 * m2)]
+    blocks = _block_sums(weights, symbols).reshape(-1, order, order)
+    blocks %= p
+    per_stack = max(1, _STACK_BYTES // (8 * order * order))
+    ranks = [len(pivots) for lo in range(0, len(blocks), per_stack)
+             for pivots in _echelon_mod_p(blocks[lo:lo + per_stack], p)]
+    return [(len(_cyclotomic(d1)) - 1) * (len(_cyclotomic(d2)) - 1) * rank
+            for (d1, d2), rank in zip(pairs, ranks)]
 
 
 def _blocked_rank(symbols: np.ndarray, p: int) -> int:
@@ -558,7 +545,7 @@ def _proved_rank(symbols: np.ndarray, primes: Iterator[int]) -> tuple[int, list[
     Later primes eliminate only the open classes.  Returns the rank, the
     primes drawn, the rational block orders and the largest closing bound.
     """
-    bounds = [_hadamard_bounds(block) for _, block in _representation_blocks(symbols)]
+    bounds = [_hadamard_bounds(block) for block in _representation_blocks(symbols)]
     orders = [len(b) - 1 for b in bounds]  # the blocks are square
     ranks, used, product = [0] * len(bounds), [], 1
     open_classes = list(range(len(bounds)))

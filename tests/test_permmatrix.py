@@ -829,6 +829,19 @@ def test_blocked_rank_on_every_class_indicator(n):
     assert len(ranks) > 2
 
 
+def _phi(d):
+    return sum(gcd(t, d) == 1 for t in range(d))
+
+
+def _divisor_pairs(m1, m2):
+    """The classes (d1, d2), d1 | m1 and d2 | m2, in the order of permmatrix._class_ranks."""
+    return [(d1, d2) for d1 in range(1, m1 + 1) if m1 % d1 == 0 for d2 in range(1, m2 + 1) if m2 % d2 == 0]
+
+
+def _cycle_symbols(n):
+    return permmatrix._group_symbols(permmatrix._cycle_indicator(n), permmatrix._cycle_type_pair(n))
+
+
 def _fourier_block_ranks(symbols, p):
     """Rank mod p of every Fourier block B_(t1, t2) = sum_(d, e) w1^(-d t1) w2^(-e t2) G[d, e]."""
     m1, m2 = symbols.shape[:2]
@@ -881,12 +894,67 @@ def test_modular_block_counts_add_up_to_the_group_order(n):
     lam, mu = permmatrix._cycle_type_pair(n)
     m1, m2 = lcm(*lam), lcm(*mu)
     p = _sampled_prime(n)
+    # with G[0, 0] = 1 and zeros elsewhere every block is 1x1 of rank 1, so each rank is its count
     symbols = np.zeros((m1, m2, 1, 1), dtype=np.uint8)
-    counts = [count for count, _ in permmatrix._representation_blocks(symbols, p)]
-    phi = {d: sum(gcd(t, d) == 1 for t in range(d)) for d in range(1, max(m1, m2) + 1)}
-    assert counts == [phi[d1] * phi[d2] for d1 in range(1, m1 + 1) if m1 % d1 == 0
-                      for d2 in range(1, m2 + 1) if m2 % d2 == 0]
+    symbols[0, 0] = 1
+    counts = permmatrix._class_ranks(symbols, p)
+    assert counts == [_phi(d1) * _phi(d2) for d1, d2 in _divisor_pairs(m1, m2)]
     assert sum(counts) == m1 * m2
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_class_ranks_of_requested_classes_match_the_full_list(n):
+    symbols, p = _cycle_symbols(n), _sampled_prime(n)
+    full = permmatrix._class_ranks(symbols, p)
+    rng = random.Random(n)
+    subsets = [rng.sample(range(len(full)), rng.randrange(1, len(full) + 1)) for _ in range(3)]
+    for classes in subsets + [[len(full) - 1], [0], []]:
+        assert permmatrix._class_ranks(symbols, p, classes) == [full[i] for i in classes]
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_class_ranks_count_the_rank_of_one_fourier_block_per_class(n):
+    # class (d1, d2) stands for the phi(d1) phi(d2) blocks B_(t1, t2) with gcd(t1, m1) = m1/d1 and
+    # gcd(t2, m2) = m2/d2; B_(m1/d1, m2/d2) is built here from its definition
+    symbols, p = _cycle_symbols(n), _sampled_prime(n)
+    m1, m2 = symbols.shape[:2]
+    ranks = _fourier_block_ranks(symbols, p)
+    assert permmatrix._class_ranks(symbols, p) == [
+        _phi(d1) * _phi(d2) * ranks[m1 // d1 % m1, m2 // d2 % m2] for d1, d2 in _divisor_pairs(m1, m2)
+    ]
+
+
+@pytest.mark.parametrize("n, primes, eliminated", [(6, 4, 42), (7, 18, 174)])
+def test_certified_rank_exact_builds_only_the_blocks_it_eliminates(monkeypatch, n, primes, eliminated):
+    # building every class at every prime would make 64 blocks at degree 6 and 432 at degree 7
+    built, stacks, echelon = _spy(monkeypatch, "_block_sums"), [], permmatrix._echelon_mod_p
+
+    def recorded(a, p, reduced=False):
+        stacks.append(a)
+        return echelon(a, p, reduced)
+
+    monkeypatch.setattr(permmatrix, "_echelon_mod_p", recorded)
+    cert = permmatrix.certified_rank(n, method="exact", seed=0)
+    assert len(cert.primes) == primes
+    modular = built[cert.blocks.eliminated:]  # after the rational blocks behind the bounds, one per class
+    assert len(modular) == primes
+    assert sum(map(len, modular)) == sum(map(len, stacks)) == eliminated
+    # each stack is eliminated in place, in a slice of its prime's array
+    assert all(any(np.shares_memory(a, b) for b in modular) for a in stacks)
+
+
+def test_certified_rank_modp_eliminates_each_degree_seven_prime_in_one_kernel_call(monkeypatch):
+    stacks = _spy(monkeypatch, "_echelon_mod_p")
+    assert permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0).rank == 924
+    assert [len(pivots) for pivots in stacks] == [24] * 3
+
+
+def test_class_ranks_eliminate_each_degree_eight_block_alone(monkeypatch):
+    # two blocks of order 336 exceed the stack budget, so each of the 16 is its own kernel call
+    stacks = _spy(monkeypatch, "_echelon_mod_p")
+    symbols = np.zeros((8, 15, 336, 336), dtype=np.uint8)
+    assert permmatrix._class_ranks(symbols, _sampled_prime(8)) == [0] * 16
+    assert [len(pivots) for pivots in stacks] == [1] * 16
 
 
 @pytest.mark.parametrize("n", range(4, 8))
@@ -895,11 +963,12 @@ def test_rational_block_splits_into_its_count_of_modular_blocks(n):
     # blocks of equal rank, so its rank mod p is that many times theirs
     symbols, p = _symbols(permmatrix.cycle_product_matrix(n)), _sampled_prime(n)
     rational = list(permmatrix._representation_blocks(symbols))
-    modular = list(permmatrix._representation_blocks(symbols, p))
-    assert len(rational) == len(modular)
-    for (one, q_block), (count, p_block) in zip(rational, modular):
-        assert one == 1 and len(q_block) == count * len(p_block)
-        assert permmatrix.rank_mod_prime(q_block, p) == count * permmatrix.rank_mod_prime(p_block, p)
+    class_ranks = permmatrix._class_ranks(symbols, p)
+    assert len(rational) == len(class_ranks)
+    m1, m2, order = symbols.shape[:3]
+    for (d1, d2), q_block, rank in zip(_divisor_pairs(m1, m2), rational, class_ranks):
+        assert len(q_block) == _phi(d1) * _phi(d2) * order
+        assert permmatrix.rank_mod_prime(q_block, p) == rank
 
 
 @pytest.mark.parametrize("m", range(1, 16))
@@ -922,10 +991,10 @@ def test_block_sums_refuse_weights_that_float64_would_round(monkeypatch):
     top = (1 << 53) // 6
 
     def representations(weight):
-        return lambda m, p: [(1, np.full((m, 1, 1), weight if m == 2 else 1, dtype=np.int64))]
+        return lambda m: [np.full((m, 1, 1), weight if m == 2 else 1, dtype=np.int64)]
 
     monkeypatch.setattr(permmatrix, "_representations", representations(top))
-    assert [block.tolist() for _, block in permmatrix._representation_blocks(symbols)] == [[[6 * top]]]
+    assert [block.tolist() for block in permmatrix._representation_blocks(symbols)] == [[[6 * top]]]
     monkeypatch.setattr(permmatrix, "_representations", representations(top + 1))
     with pytest.raises(OverflowError, match=r"2\*\*53"):
         list(permmatrix._representation_blocks(symbols))
@@ -939,7 +1008,7 @@ def test_cyclotomic_refuses_a_divisor_that_leaves_a_remainder(monkeypatch):
 
 
 def _cyclotomic_rank(mat):
-    blocks = [block for _, block in permmatrix._representation_blocks(_symbols(mat))]
+    blocks = list(permmatrix._representation_blocks(_symbols(mat)))
     assert sum(len(b) for b in blocks) == mat.order
     return sum(permmatrix.rank_exact(b) for b in blocks)
 
@@ -1026,9 +1095,9 @@ def _open_classes(n, primes):
     class is open unless r is its order or P^2 exceeds the product of its
     r + 1 largest squared row norms or of its r + 1 largest squared column norms.
     """
-    symbols = permmatrix._group_symbols(permmatrix._cycle_indicator(n), permmatrix._cycle_type_pair(n))
+    symbols = _cycle_symbols(n)
     open_classes = []
-    for i, (_, block) in enumerate(permmatrix._representation_blocks(symbols)):
+    for i, block in enumerate(permmatrix._representation_blocks(symbols)):
         r = max(permmatrix.rank_mod_prime(block, p) for p in primes)
         squares = block.astype(object) ** 2
         rows, cols = (sorted(squares.sum(axis=axis).tolist(), reverse=True)[:r + 1] for axis in (1, 0))
