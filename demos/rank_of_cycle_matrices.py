@@ -20,10 +20,11 @@ from permrank import (
 print("degree | order | rank | expected | method")
 print("-" * 60)
 # Up to degree 6 the rank is exact over the rationals.  The matrix is split
-# into one integer block per pair of divisors of the orders of two cyclic
+# into one Fourier block per pair of divisors of the orders of two cyclic
 # subgroups (the argument is in the permrank.permmatrix docstring); each
-# block's rank mod a few primes is proved rational by the Hadamard bound,
-# and the note printed for degree 6 names the blocks and the primes.
+# block's rank mod a few primes is proved by one Hadamard bound on an
+# integer matrix, and the note printed for degree 6 names the classes, the
+# block order and the primes.
 for k in range(1, 7):
     cert = certified_rank(k)
     expected = comb(2 * k - 2, k - 1)
@@ -39,7 +40,7 @@ print(f"primes used: {cert7.primes}")
 print(f"blocks per prime: {cert7.blocks.count} of order {cert7.blocks.order}, "
       f"cycle types {' and '.join('+'.join(map(str, lam)) for lam in cert7.blocks.cycle_types)}")
 
-# The rational split also gives degree 7 a two-sided exact rank.
+# The same proof gives degree 7 a two-sided exact rank, from 4 primes.
 exact7 = certified_rank(7, method="exact")
 print(f"{7:6d} | {5040:5d} | {exact7.rank:4d} | {comb(12, 6):8d} | {exact7.method}")
 

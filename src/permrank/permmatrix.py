@@ -28,14 +28,8 @@ M[pi, sigma] depends on the conjugacy class of sigma . pi, none of the
 character theory the ranks confirm.  rank_exact never splits, so it checks
 the split.  A residue rank is a lower bound on the rational rank, which is
 all the modular certificate claims.  The exact one also proves the upper
-bound, one rational block B at a time, by the multimodular Hadamard
-argument (von zur Gathen and Gerhard, Modern Computer Algebra): let r be
-the largest rank of B mod any prime drawn and P the product of those
-primes.  Each prime divides every (r+1)-minor of B, so P does, and by
-Hadamard's inequality the square of such a minor is at most the product of
-the r+1 largest squared row norms of B (or column norms).  Once P^2
-exceeds that product, every (r+1)-minor is a multiple of P smaller than P,
-hence 0, and B has rank r over Q.
+bound, class by class, from one Hadamard bound on an integer matrix (Norms,
+below).
 
 Invariance.  For permutations ``a`` of order m1 and ``b`` of order m2,
 pi -> b^e . pi . a^d and sigma -> a^-d . sigma . b^-e turn sigma . pi into
@@ -58,25 +52,21 @@ G[d, e, i, j] = chi(b^e . r_i . a^d . r_j^-1), so up to a permutation
 M = sum_(d, e) kron(G[d, e], P1^d (x) P2^e), P1 and P2 the cyclic shifts
 of orders m1 and m2.
 
-Representations over the field.  The shift P of order m is the companion
-matrix of x^m - 1 = prod_(d | m) Phi_d, whose factors are coprime over Q
-and mod every prime not dividing m.  So P is similar to the direct sum of
-the companion matrices C_d, one irreducible representation R of Z_m per
-divisor, of dimension phi(d), and M is equivalent to the direct sum of
-the blocks sum_(d, e) kron(G[d, e], R1^d (x) R2^e), one per pair
-d1 | m1, d2 | m2: its rank is the sum of theirs.  Over Q these are
-integer blocks of order (n!/(m1 m2)) phi(d1) phi(d2), 24 of orders 42 to
-672 at degree 7.  Mod a prime p = 1 (mod lcm(m1, m2)), Phi_d has the
-phi(d) primitive d-th roots of unity w as distinct roots, so C_d is
-similar to diag(w), and the rational block splits into phi(d1) phi(d2)
-blocks sum_(d, e) w1^d w2^e G[d, e] of order n!/(m1 m2).  One primitive
-L-th root of unity w, L = lcm(m1, m2), gives every w1 = w^(L/d1) and
-w2 = w^(L/d2), so the block of class (d1, d2) weighs symbol (d, e) by
-w^((L/d1) d + (L/d2) e), and one table of powers of w serves every class.
+Fourier blocks.  The shift P of order m has the m distinct eigenvalues z^t,
+z a primitive m-th root of unity, over C and mod every prime p = 1 (mod m).
+So M is equivalent to the direct sum of the m1 m2 Fourier blocks
+sum_(d, e) z1^(d t1) z2^(e t2) G[d, e] of order N = n!/(m1 m2), and its rank
+is the sum of theirs.  The block's class is (d1, d2), the orders of
+z1^t1 and z2^t2, one class per pair d1 | m1, d2 | m2; over C its entries
+lie in Z[zeta_c], c = lcm(d1, d2).  Mod a prime p = 1 (mod L),
+L = lcm(m1, m2), one primitive L-th root of unity w gives the class's
+roots w1 = w^(L/d1) and w2 = w^(L/d2), so the block of class (d1, d2)
+weighs symbol (d, e) by w^((L/d1) d + (L/d2) e), and one table of powers
+of w serves every class.
 
-Power map.  Those phi(d1) phi(d2) blocks have equal rank, so one is
-eliminated and its rank counted phi(d1) phi(d2) times.  For u prime to
-m1, the permutation c that maps c_i to c_(u i mod l) on each cycle
+Power map.  The phi(d1) phi(d2) blocks of class (d1, d2) have equal
+rank, so one is eliminated and its rank counted phi(d1) phi(d2) times.
+For u prime to m1, the permutation c that maps c_i to c_(u i mod l) on each cycle
 (c_0 ... c_(l-1)) of ``a`` satisfies c . a . c^-1 = a^u; likewise
 c' . b . c'^-1 = b^v for v prime to m2.  The map pi -> c' . pi . c^-1,
 sigma -> c . sigma . c'^-1 conjugates sigma . pi and sends b^e . pi . a^d
@@ -86,6 +76,24 @@ scales the group indices, so the block for (w1, w2) equals the block for
 onto units mod d, so every primitive d-th root is such a w^u.  Each prime
 thus costs tau(m1) tau(m2) eliminations: 24 of order 42 at degree 7, 16
 of order 336 at degree 8.
+
+Norms.  Let r be the largest rank of a class's modular block over the
+primes drawn, and P their product.  Each p splits completely in
+Z[zeta_c]: mod the prime ideal on which zeta_c is w^(L/c) the Fourier
+block is the modular block, and mod the others it is the modular block
+for (w1^u, w2^u), u prime to c, of the same rank by the power map.  So
+every (r+1)-minor alpha of the Fourier block lies in every prime ideal
+above each p, hence in P Z[zeta_c], and P^phi(c) divides its norm, the
+product of its phi(c) Galois conjugates.  The symbols are 0/1, so every
+entry of every conjugate block is at most, in absolute value, the
+matching entry of the integer orbit-sum matrix B_0 = sum_(d, e) G[d, e],
+the class (1, 1) block; by Hadamard's inequality each conjugate of alpha
+has square at most the product of the r+1 largest squared row norms of
+B_0 (or column norms).  Once P^2 exceeds that product, the norm is an
+integer multiple of P^phi(c) smaller than P^phi(c), hence 0, so alpha = 0
+and the class has rank r over Q(zeta_c): the multimodular Hadamard
+argument (von zur Gathen and Gerhard, Modern Computer Algebra) taken
+through the norm down to Z.  One N x N integer matrix bounds every class.
 
 Stacks.  A prime's blocks all have one shape, so _class_ranks builds them
 in one int64 array, reduces it mod p in place and hands _echelon_mod_p
@@ -99,7 +107,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, islice
 from math import factorial, gcd, isqrt, lcm, prod
 from operator import mul
@@ -112,7 +119,7 @@ from .bitmatrix import BinaryMatrix, read_pbm, write_pbm  # write_pbm and read_p
 # perfbench/child.py reads both names to record the elimination kernel and integer type.
 numba, mpz = None, int
 
-#: Order cap for rank_exact, and for the largest rational block of the exact certificate.
+#: Order cap for rank_exact.
 MAX_EXACT_ORDER = 1000
 
 #: Largest degree of left_multiplication_matrix (order 720).
@@ -405,44 +412,12 @@ def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
     return symbols.reshape(rows.shape + (len(reps),))
 
 
-@cache
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Integer coefficients of the d-th cyclotomic polynomial, constant term first.
-
-    x^d - 1 is divided exactly by Phi_e for every proper divisor e of d; each
-    divisor is monic, so the long division never leaves the integers.
-    """
-    coeffs = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e:
-            continue
-        divisor = _cyclotomic(e)
-        k = len(divisor) - 1
-        quotient = [0] * (len(coeffs) - k)
-        for i in reversed(range(len(quotient))):
-            quotient[i] = c = coeffs[i + k]
-            for j, dj in enumerate(divisor):
-                coeffs[i + j] -= c * dj
-        if any(coeffs):
-            raise ArithmeticError(f"Phi_{e} does not divide the remaining factor of x^{d} - 1")
-        coeffs = quotient
-    return tuple(coeffs)
-
-
 def _divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _representations(m: int) -> list[np.ndarray]:
-    """[R^0, ..., R^(m-1)] for R the companion matrix of Phi_d over Q, one per divisor d of m."""
-    out = []
-    for d in _divisors(m):
-        phi = _cyclotomic(d)
-        r = np.eye(len(phi) - 1, k=-1, dtype=np.int64)
-        r[:, -1] = [-c for c in phi[:-1]]
-        powers = accumulate(range(m - 1), lambda x, _: x @ r, initial=np.eye(len(r), dtype=np.int64))
-        out.append(np.array(list(powers)))
-    return out
+def _totient(d: int) -> int:
+    return sum(gcd(t, d) == 1 for t in range(d))
 
 
 def _block_sums(weights: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -463,27 +438,11 @@ def _block_sums(weights: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _representation_blocks(symbols: np.ndarray) -> Iterator[np.ndarray]:
-    """The rational block sum_(d, e) kron(G[d, e], R1^d (x) R2^e) for each pair of _representations of m1 and m2.
-
-    The rank over Q of the group matrix with these symbols is the sum of
-    the block ranks.
-    """
-    m1, m2, order = symbols.shape[:3]
-    second = _representations(m2)
-    for r1 in _representations(m1):
-        for r2 in second:
-            # row (a, c, b, f) holds entry ((a, c), (b, f)) of R1^d (x) R2^e in column (d, e)
-            sums = _block_sums(np.einsum("dab,ecf->acbfde", r1, r2).reshape(-1, m1 * m2), symbols)
-            k = isqrt(len(sums))
-            yield sums.reshape(k, k, order, order).transpose(2, 0, 3, 1).reshape(order * k, -1)
-
-
 def _class_ranks(symbols: np.ndarray, p: int, classes=None) -> list[int]:
-    """Rank mod ``p`` of each divisor class's rational block, for every class or those in ``classes``.
+    """Rank mod ``p`` of each divisor class's Fourier blocks, for every class or those in ``classes``.
 
-    Classes (d1, d2) are in the order of _representation_blocks.  Only the
-    requested classes' Fourier blocks sum_(d, e) w^((L/d1) d + (L/d2) e) G[d, e]
+    Classes (d1, d2), d1 | m1 and d2 | m2, are in lexicographic order.  Only
+    the requested classes' Fourier blocks sum_(d, e) w^((L/d1) d + (L/d2) e) G[d, e]
     are built, w a primitive L-th root of unity, L = lcm(m1, m2); they are
     reduced in one array and eliminated in slices of it, and each rank is
     counted phi(d1) phi(d2) times (module docstring, power map).
@@ -504,8 +463,7 @@ def _class_ranks(symbols: np.ndarray, p: int, classes=None) -> list[int]:
     per_stack = max(1, _STACK_BYTES // (8 * order * order))
     ranks = [len(pivots) for lo in range(0, len(blocks), per_stack)
              for pivots in _echelon_mod_p(blocks[lo:lo + per_stack], p)]
-    return [(len(_cyclotomic(d1)) - 1) * (len(_cyclotomic(d2)) - 1) * rank
-            for (d1, d2), rank in zip(pairs, ranks)]
+    return [_totient(d1) * _totient(d2) * rank for (d1, d2), rank in zip(pairs, ranks)]
 
 
 def _blocked_rank(symbols: np.ndarray, p: int) -> int:
@@ -535,30 +493,31 @@ def _distinct_primes(seed: int, modulus: int) -> Iterator[int]:
             yield p
 
 
-def _proved_rank(symbols: np.ndarray, primes: Iterator[int]) -> tuple[int, list[int], list[int], int]:
-    """Rank over Q of the group matrix with these symbols, proved class by class (module docstring).
+def _proved_rank(symbols: np.ndarray, primes: Iterator[int]) -> tuple[int, list[int], int]:
+    """Rank over Q of the group matrix with these 0/1 symbols, proved class by class (module docstring).
 
     Draws ``primes`` until every class has closed.  A class keeps r, the
-    largest residue rank its rational block has reached, and closes at
-    full rank, or once P**2, P the product of the primes that ranked it,
-    exceeds the Hadamard bound on the squared (r+1)-minors of its block.
+    largest residue rank of its Fourier block, and closes at full rank, or
+    once P**2, P the product of the primes that ranked it, exceeds the
+    Hadamard bound on the squared (r+1)-minors of the orbit-sum matrix.
     Later primes eliminate only the open classes.  Returns the rank, the
-    primes drawn, the rational block orders and the largest closing bound.
+    primes drawn and the largest closing bound.
     """
-    bounds = [_hadamard_bounds(block) for block in _representation_blocks(symbols)]
-    orders = [len(b) - 1 for b in bounds]  # the blocks are square
-    ranks, used, product = [0] * len(bounds), [], 1
-    open_classes = list(range(len(bounds)))
+    m1, m2, order = symbols.shape[:3]
+    bounds = _hadamard_bounds(symbols.sum(axis=(0, 1), dtype=np.int64))
+    counts = [_totient(d1) * _totient(d2) for d1 in _divisors(m1) for d2 in _divisors(m2)]
+    ranks, used, product = [0] * len(counts), [], 1
+    open_classes = list(range(len(counts)))
     while open_classes:
         p = next(primes)
         used.append(p)
         product *= p
         for i, rank in zip(open_classes, _class_ranks(symbols, p, open_classes)):
-            ranks[i] = max(ranks[i], rank)
+            ranks[i] = max(ranks[i], rank // counts[i])
         open_classes = [i for i in open_classes
-                        if ranks[i] < orders[i] and product * product <= bounds[i][ranks[i] + 1]]
-    largest = max((b[r + 1] for b, r, order in zip(bounds, ranks, orders) if r < order), default=0)
-    return sum(ranks), used, orders, largest
+                        if ranks[i] < order and product * product <= bounds[ranks[i] + 1]]
+    largest = max((bounds[r + 1] for r in ranks if r < order), default=0)
+    return sum(map(mul, counts, ranks)), used, largest
 
 
 # --- exact rank over the rationals ---
@@ -705,14 +664,13 @@ def certified_rank(
     from ``seed`` and at each eliminate one modular block per pair of
     divisors (class).  ``modp`` stops after ``num_primes`` primes and gives
     a lower bound; primes that disagree raise PrimeDisagreement.  ``exact``
-    ignores ``num_primes`` and draws until the Hadamard bound of the module
-    docstring closes every class, which proves the rational rank;
-    MAX_EXACT_ORDER caps its largest rational block, so degree 7 is allowed
-    and 8 refused.  ``auto`` is ``exact`` while n! <= MAX_EXACT_ORDER and
-    ``modp`` above.  No n! x n! matrix is made.  The note names the cycle
-    types and, for ``exact``, each rational block's order, the number of
-    primes and the bit sizes of their product and of the largest bound it
-    had to exceed.
+    ignores ``num_primes`` and draws until the Hadamard bound on the
+    orbit-sum matrix closes every class (module docstring, norms), which
+    proves the rational rank.  ``auto`` is ``exact`` while
+    n! <= MAX_EXACT_ORDER and ``modp`` above.  No n! x n! matrix is made.
+    The note names the cycle types and, for ``exact``, the classes and their
+    block order, the number of primes and the bit sizes of their product
+    and of the largest bound it had to exceed.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -725,33 +683,26 @@ def certified_rank(
     cycle_types = _cycle_type_pair(n)
     m1, m2 = (lcm(*lam) for lam in cycle_types)
     block_order = factorial(n) // (m1 * m2)
-    if method == "exact":
-        # phi(d) divides phi(m) for d | m, so the block for (m1, m2) is the largest; the
-        # proof builds every rational block for its norms, up to order 10752 at degree 8
-        largest = block_order * (len(_cyclotomic(m1)) - 1) * (len(_cyclotomic(m2)) - 1)
-        if largest > MAX_EXACT_ORDER:
-            raise ValueError(
-                f"largest block order {largest} exceeds exact-elimination cap "
-                f"{MAX_EXACT_ORDER}; use the modular certification path"
-            )
     symbols = _group_symbols(_cycle_indicator(n), cycle_types)
     types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
     primes = _distinct_primes(seed, lcm(m1, m2))
     classes = len(_divisors(m1)) * len(_divisors(m2))
     blocks = BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, classes)
     if method == "exact":
-        rank, used, orders, largest = _proved_rank(symbols, primes)
+        rank, used, largest = _proved_rank(symbols, primes)
         return RankCertificate(
             rank=rank,
             method="exact-fraction-free",
             primes=tuple(sorted(used)),
             note=(
-                f"rank over the rationals of {len(orders)} cyclotomic blocks of orders "
-                f"{', '.join(map(str, orders))} (cycle types {types_label}); each block's rank is "
-                f"its largest residue rank r over {len(used)} prime{'s' * (len(used) > 1)} "
-                f"p = 1 (mod {lcm(m1, m2)}), proved once P^2 exceeds the Hadamard bound on its "
-                f"squared (r+1)-minors, P the product of the primes that ranked it; P has "
-                f"{prod(used).bit_length()} bits, the largest bound {largest.bit_length()} bits"
+                f"rank over the rationals, the sum over {classes} classes (d1, d2), d1 | {m1}, "
+                f"d2 | {m2}, of phi(d1) phi(d2) times the rank of one Fourier block of order "
+                f"{block_order} over Q(zeta_lcm(d1, d2)) (cycle types {types_label}); each block's "
+                f"rank is its largest residue rank r over {len(used)} prime{'s' * (len(used) > 1)} "
+                f"p = 1 (mod {lcm(m1, m2)}), proved once P^2 exceeds the Hadamard bound on the "
+                f"squared (r+1)-minors of the orbit-sum matrix, P the product of the primes that "
+                f"ranked it; P has {prod(used).bit_length()} bits, the largest orbit-sum bound "
+                f"{largest.bit_length()} bits"
             ),
             degree=n,
             blocks=blocks,

@@ -382,15 +382,17 @@ def test_rank_json_reports_how_blocks_were_certified(capsys):
     code, out, _ = run_cli(capsys, "rank", "--k", "5", "--json")
     assert code == 0
     note = json.loads(out)["note"]
-    assert "orders 4, 4, 8, 8, 16, 16, 32, 32" in note
-    assert note.endswith(" largest residue rank r over 2 primes p = 1 (mod 30), proved once P^2 exceeds "
-                         "the Hadamard bound on its squared (r+1)-minors, P the product of the primes "
-                         "that ranked it; P has 60 bits, the largest bound 88 bits")
-    primes = json.loads(out)["primes"]
+    assert ("8 classes (d1, d2), d1 | 5, d2 | 6, of phi(d1) phi(d2) times the rank of one Fourier "
+            "block of order 4 ") in note
+    assert note.endswith(" largest residue rank r over 1 prime p = 1 (mod 30), proved once P^2 exceeds "
+                         "the Hadamard bound on the squared (r+1)-minors of the orbit-sum matrix, P the "
+                         "product of the primes that ranked it; P has 30 bits, the largest orbit-sum "
+                         "bound 29 bits")
+    [prime] = json.loads(out)["primes"]
     code, out, _ = run_cli(capsys, "rank", "--k", "5")
     assert code == 0
     assert f"note: {note}" in out.splitlines()
-    assert f"primes: {primes[0]}, {primes[1]}" in out.splitlines()
+    assert f"primes: {prime}" in out.splitlines()
 
 
 @pytest.mark.parametrize(

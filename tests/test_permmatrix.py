@@ -887,6 +887,27 @@ def test_fourier_block_rank_depends_only_on_gcd_for_every_class_indicator(n):
         _assert_rank_depends_only_on_gcd(_symbols(_class_indicator_matrix(n, {lam})), p)
 
 
+@pytest.mark.parametrize("m", range(1, 16))
+def test_cyclotomic_factors_multiply_to_x_m_minus_1(m):
+    # mod p = 1 (mod m) the d-th cyclotomic polynomial is the product of x - z over the powers z
+    # of the root w of order exactly d; they multiply to x^m - 1, and Phi_d has degree _totient(d)
+    p = permmatrix.random_prime(random.Random(m), m)
+    w = permmatrix._root_of_unity(m, p)
+    factors = {}
+    for j in range(m):
+        z = pow(w, j, p)
+        order = next(d for d in range(1, m + 1) if pow(z, d, p) == 1)
+        factor = factors.setdefault(order, [1])  # coefficients, constant term first
+        factors[order] = [(a - z * b) % p for a, b in zip([0] + factor, factor + [0])]
+    assert sorted(factors) == [d for d in range(1, m + 1) if m % d == 0]
+    assert all(len(phi) - 1 == permmatrix._totient(d) for d, phi in factors.items())
+    product = [1]
+    for phi in factors.values():
+        product = [sum(product[i] * phi[k - i] for i in range(len(product)) if 0 <= k - i < len(phi)) % p
+                   for k in range(len(product) + len(phi) - 1)]
+    assert product == [p - 1] + [0] * (m - 1) + [1]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_modular_block_counts_add_up_to_the_group_order(n):
     # one block per pair of divisors d1 | m1, d2 | m2, counted phi(d1) phi(d2)
@@ -924,9 +945,9 @@ def test_class_ranks_count_the_rank_of_one_fourier_block_per_class(n):
     ]
 
 
-@pytest.mark.parametrize("n, primes, eliminated", [(6, 4, 42), (7, 18, 174)])
+@pytest.mark.parametrize("n, primes, eliminated", [(6, 2, 30), (7, 4, 64)])
 def test_certified_rank_exact_builds_only_the_blocks_it_eliminates(monkeypatch, n, primes, eliminated):
-    # building every class at every prime would make 64 blocks at degree 6 and 432 at degree 7
+    # building every class at every prime would make 32 blocks at degree 6 and 96 at degree 7
     built, stacks, echelon = _spy(monkeypatch, "_block_sums"), [], permmatrix._echelon_mod_p
 
     def recorded(a, p, reduced=False):
@@ -936,11 +957,10 @@ def test_certified_rank_exact_builds_only_the_blocks_it_eliminates(monkeypatch, 
     monkeypatch.setattr(permmatrix, "_echelon_mod_p", recorded)
     cert = permmatrix.certified_rank(n, method="exact", seed=0)
     assert len(cert.primes) == primes
-    modular = built[cert.blocks.eliminated:]  # after the rational blocks behind the bounds, one per class
-    assert len(modular) == primes
-    assert sum(map(len, modular)) == sum(map(len, stacks)) == eliminated
+    assert len(built) == primes  # one array of blocks per prime, and nothing else
+    assert sum(map(len, built)) == sum(map(len, stacks)) == eliminated
     # each stack is eliminated in place, in a slice of its prime's array
-    assert all(any(np.shares_memory(a, b) for b in modular) for a in stacks)
+    assert all(any(np.shares_memory(a, b) for b in built) for a in stacks)
 
 
 def test_certified_rank_modp_eliminates_each_degree_seven_prime_in_one_kernel_call(monkeypatch):
@@ -957,60 +977,21 @@ def test_class_ranks_eliminate_each_degree_eight_block_alone(monkeypatch):
     assert [len(pivots) for pivots in stacks] == [1] * 16
 
 
-@pytest.mark.parametrize("n", range(4, 8))
-def test_rational_block_splits_into_its_count_of_modular_blocks(n):
-    # mod p the rational block (d1, d2) is similar to phi(d1) phi(d2) modular
-    # blocks of equal rank, so its rank mod p is that many times theirs
-    symbols, p = _symbols(permmatrix.cycle_product_matrix(n)), _sampled_prime(n)
-    rational = list(permmatrix._representation_blocks(symbols))
-    class_ranks = permmatrix._class_ranks(symbols, p)
-    assert len(rational) == len(class_ranks)
-    m1, m2, order = symbols.shape[:3]
-    for (d1, d2), q_block, rank in zip(_divisor_pairs(m1, m2), rational, class_ranks):
-        assert len(q_block) == _phi(d1) * _phi(d2) * order
-        assert permmatrix.rank_mod_prime(q_block, p) == rank
-
-
-@pytest.mark.parametrize("m", range(1, 16))
-def test_cyclotomic_factors_multiply_to_x_m_minus_1(m):
-    product = [1]
-    for d in range(1, m + 1):
-        if m % d == 0:
-            phi = permmatrix._cyclotomic(d)
-            assert phi[-1] == 1 and all(isinstance(c, int) for c in phi)
-            product = [
-                sum(product[i] * phi[k - i] for i in range(len(product)) if 0 <= k - i < len(phi))
-                for k in range(len(product) + len(phi) - 1)
-            ]
-    assert product == [-1] + [0] * (m - 1) + [1]
-
-
-def test_block_sums_refuse_weights_that_float64_would_round(monkeypatch):
+def test_block_sums_refuse_weights_that_float64_would_round():
     # m1 m2 = 6 sums of weight * 0/1 stay exact in float64 only below 2**53 / 6
     symbols = np.ones((2, 3, 1, 1), dtype=np.uint8)
     top = (1 << 53) // 6
-
-    def representations(weight):
-        return lambda m: [np.full((m, 1, 1), weight if m == 2 else 1, dtype=np.int64)]
-
-    monkeypatch.setattr(permmatrix, "_representations", representations(top))
-    assert [block.tolist() for block in permmatrix._representation_blocks(symbols)] == [[[6 * top]]]
-    monkeypatch.setattr(permmatrix, "_representations", representations(top + 1))
+    weights = np.full((1, 6), top, dtype=np.int64)
+    assert permmatrix._block_sums(weights, symbols).tolist() == [[6 * top]]
     with pytest.raises(OverflowError, match=r"2\*\*53"):
-        list(permmatrix._representation_blocks(symbols))
-
-
-def test_cyclotomic_refuses_a_divisor_that_leaves_a_remainder(monkeypatch):
-    original = permmatrix._cyclotomic.__wrapped__  # uncached; its recursion looks up the patched name
-    monkeypatch.setattr(permmatrix, "_cyclotomic", lambda d: (2, 1) if d == 1 else original(d))
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        permmatrix._cyclotomic(2)
+        permmatrix._block_sums(weights + 1, symbols)
 
 
 def _cyclotomic_rank(mat):
-    blocks = list(permmatrix._representation_blocks(_symbols(mat)))
-    assert sum(len(b) for b in blocks) == mat.order
-    return sum(permmatrix.rank_exact(b) for b in blocks)
+    """The rank of ``mat`` proved class by class over the cyclotomic fields, from primes of seed 0."""
+    symbols = _symbols(mat)
+    primes = permmatrix._distinct_primes(0, lcm(*symbols.shape[:2]))
+    return permmatrix._proved_rank(symbols, primes)[0]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -1035,48 +1016,49 @@ def test_certified_rank_exact_note_names_block_orders():
     assert cert.rank == 252
     assert cert.method == "exact-fraction-free"
     assert cert.blocks == permmatrix.BlockStructure(((6,), (3, 2, 1)), 36, 36, 20, 16)
-    # 20 * phi(d1) * phi(d2) for d1, d2 | 6
-    assert "orders 20, 20, 40, 40, 20, 20, 40, 40, 40, 40, 80, 80, 40, 40, 80, 80" in cert.note
+    assert cert.note.startswith("rank over the rationals, the sum over 16 classes (d1, d2), d1 | 6, d2 | 6, "
+                                "of phi(d1) phi(d2) times the rank of one Fourier block of order 20 "
+                                "over Q(zeta_lcm(d1, d2))")
     assert "cycle types 6 and 3+2+1" in cert.note
 
 
 def test_certified_rank_exact_note_names_how_each_block_was_certified():
     cert = permmatrix.certified_rank(6)
-    assert len(cert.primes) == 4 and all(p % 6 == 1 for p in cert.primes)
-    assert prod(cert.primes).bit_length() == 122
-    assert cert.note.endswith("; each block's rank is its largest residue rank r over 4 primes "
-                              "p = 1 (mod 6), proved once P^2 exceeds the Hadamard bound on its squared "
-                              "(r+1)-minors, P the product of the primes that ranked it; P has 122 bits, "
-                              "the largest bound 183 bits")
+    assert len(cert.primes) == 2 and all(p % 6 == 1 for p in cert.primes)
+    assert prod(cert.primes).bit_length() == 62
+    assert cert.note.endswith("; each block's rank is its largest residue rank r over 2 primes "
+                              "p = 1 (mod 6), proved once P^2 exceeds the Hadamard bound on the squared "
+                              "(r+1)-minors of the orbit-sum matrix, P the product of the primes that "
+                              "ranked it; P has 62 bits, the largest orbit-sum bound 107 bits")
     one = permmatrix.certified_rank(4).note
-    assert "over 1 prime p = 1 (mod 12)" in one and one.endswith("; P has 31 bits, the largest bound 5 bits")
+    assert "over 1 prime p = 1 (mod 12)" in one
+    assert one.endswith("; P has 31 bits, the largest orbit-sum bound 9 bits")
     # every class of degrees 1..3 has full rank at the first prime, so no bound is left to exceed
-    assert permmatrix.certified_rank(3).note.endswith("; P has 31 bits, the largest bound 0 bits")
+    assert permmatrix.certified_rank(3).note.endswith("; P has 31 bits, the largest orbit-sum bound 0 bits")
 
 
 def test_certified_rank_exact_runs_no_kernel_check_or_bareiss(monkeypatch):
     # with every kernel check failing, rank_exact would fall back to Bareiss; the Hadamard
-    # proof eliminates no rational block, so neither runs
+    # proof calls neither
     monkeypatch.setattr(permmatrix, "_vanishes", lambda a, kernel: False)
     fallbacks = _spy(monkeypatch, "_bareiss_rank")
     cert = permmatrix.certified_rank(5)
     assert cert.rank == 70
-    assert "orders 4, 4, 8, 8, 16, 16, 32, 32" in cert.note
+    assert "8 classes (d1, d2), d1 | 5, d2 | 6," in cert.note and "Fourier block of order 4 " in cert.note
     assert "kernel check" not in cert.note and "Bareiss" not in cert.note
     assert fallbacks == []
 
 
 def test_certified_rank_exact_at_degree_seven():
-    # the largest block, 42 * phi(10) * phi(12) = 672, is under the cap
     cert = permmatrix.certified_rank(7, method="exact")
     assert cert.rank == 924
     assert cert.method == "exact-fraction-free"
     assert cert.blocks == permmatrix.BlockStructure(((5, 2), (4, 3)), 120, 120, 42, 24)
     assert "cycle types 5+2 and 4+3" in cert.note
-    assert len(cert.primes) == 18 and all(p % 60 == 1 for p in cert.primes)
-    assert cert.note.endswith("over 18 primes p = 1 (mod 60), proved once P^2 exceeds the Hadamard bound "
-                              "on its squared (r+1)-minors, P the product of the primes that ranked it; "
-                              "P has 545 bits, the largest bound 1080 bits")
+    assert len(cert.primes) == 4 and all(p % 60 == 1 for p in cert.primes)
+    assert cert.note.endswith("over 4 primes p = 1 (mod 60), proved once P^2 exceeds the Hadamard bound "
+                              "on the squared (r+1)-minors of the orbit-sum matrix, P the product of the "
+                              "primes that ranked it; P has 121 bits, the largest orbit-sum bound 180 bits")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -1087,56 +1069,76 @@ def test_certified_rank_exact_for_every_degree_up_to_seven(seed):
         assert len(set(cert.primes)) == len(cert.primes)
 
 
-def _open_classes(n, primes):
-    """Classes of the degree-n split that the product P of ``primes`` leaves open, recomputed from scratch.
+def _orbit_sum_bounds(symbols):
+    """bounds[j]: the product of the j largest squared row norms of the orbit-sum matrix, or of its
+    j largest squared column norms if smaller, in Python ints."""
+    squares = symbols.sum(axis=(0, 1)).astype(object) ** 2
+    rows, cols = (sorted(squares.sum(axis=axis).tolist(), reverse=True) for axis in (1, 0))
+    return [min(prod(rows[:j]), prod(cols[:j])) for j in range(len(rows) + 1)]
 
-    r is the largest rank of the class's rational block mod any of the
-    primes (rank_mod_prime on the block itself, not its Fourier split).  A
-    class is open unless r is its order or P^2 exceeds the product of its
-    r + 1 largest squared row norms or of its r + 1 largest squared column norms.
+
+def _open_classes(symbols, ranks_by_prime):
+    """Classes that the primes, with their _fourier_block_ranks, leave open, recomputed from scratch.
+
+    r is the largest rank of the class's Fourier block B_(m1/d1, m2/d2)
+    mod any of the primes, each block built from its definition.  A class
+    is open unless r is the block order or P^2, P the product of the
+    primes, exceeds the orbit-sum bound on the squared (r+1)-minors.
     """
-    symbols = _cycle_symbols(n)
+    m1, m2, order = symbols.shape[:3]
+    bounds = _orbit_sum_bounds(symbols)
     open_classes = []
-    for i, block in enumerate(permmatrix._representation_blocks(symbols)):
-        r = max(permmatrix.rank_mod_prime(block, p) for p in primes)
-        squares = block.astype(object) ** 2
-        rows, cols = (sorted(squares.sum(axis=axis).tolist(), reverse=True)[:r + 1] for axis in (1, 0))
-        if r < len(block) and prod(primes) ** 2 <= min(prod(rows), prod(cols)):
-            open_classes.append(i)
+    for d1, d2 in _divisor_pairs(m1, m2):
+        r = max((ranks[m1 // d1 % m1, m2 // d2 % m2] for ranks in ranks_by_prime.values()), default=0)
+        if r < order and prod(ranks_by_prime) ** 2 <= bounds[r + 1]:
+            open_classes.append((d1, d2))
     return open_classes
 
 
-@pytest.mark.parametrize("n, seed", [(5, 0), (5, 1), (6, 0), (6, 2)])
+@pytest.mark.parametrize("n, seed", [(5, 0), (6, 0), (6, 2), (7, 0), (7, 1)])
 def test_certified_rank_exact_stops_at_the_first_prime_that_closes_every_class(n, seed):
     primes = permmatrix.certified_rank(n, method="exact", seed=seed).primes
-    assert len(primes) >= 2
-    assert _open_classes(n, primes) == []
-    assert _open_classes(n, primes[:-1]) != []
+    assert len(primes) >= 2 or n == 5  # degree 5 closes on its first prime
+    symbols = _cycle_symbols(n)
+    ranks_by_prime = {p: _fourier_block_ranks(symbols, p) for p in primes}
+    assert _open_classes(symbols, ranks_by_prime) == []
+    del ranks_by_prime[primes[-1]]
+    assert _open_classes(symbols, ranks_by_prime) != []
 
 
 @pytest.mark.parametrize("n", [6, 7])
 @pytest.mark.parametrize("short", ["first", "last"])
 def test_certified_rank_exact_takes_the_largest_residue_rank(monkeypatch, n, short):
-    # every class ranked one short at one prime, as at an unlucky prime; at the first, the next
-    # prime ranks every class again, since none closes on one prime at these degrees
-    primes = len(permmatrix.certified_rank(n, method="exact").primes)
-    class_ranks, calls, true = permmatrix._class_ranks, [], []
+    # one prime ranks blocks one short, as an unlucky prime may: it divides every k-minor of a
+    # block of rank k, so by the norm argument only where p^2 does not exceed the bound on them;
+    # such a block stays open, and the next prime, if any, ranks it again
+    expected = permmatrix.certified_rank(n, method="exact")
+    symbols = _cycle_symbols(n)
+    bounds, pairs = _orbit_sum_bounds(symbols), _divisor_pairs(*symbols.shape[:2])
+    class_ranks, calls, true, shortened = permmatrix._class_ranks, [], [], []
 
-    def one_short(symbols, p, classes=None):
+    def one_short(symbols, p, classes):
         calls.append(classes)
         ranks = class_ranks(symbols, p, classes)
-        if len(calls) != (1 if short == "first" else primes):
+        if len(calls) != (1 if short == "first" else len(expected.primes)):
             return ranks
         true.extend(ranks)
-        return [r - 1 for r in ranks]
+        out = []
+        for i, rank in zip(classes, ranks):
+            count = _phi(pairs[i][0]) * _phi(pairs[i][1])
+            if p * p <= bounds[rank // count]:
+                shortened.append(i)
+                rank -= count
+            out.append(rank)
+        return out
 
     monkeypatch.setattr(permmatrix, "_class_ranks", one_short)
     cert = permmatrix.certified_rank(n, method="exact")
-    assert cert.rank == comb(2 * n - 2, n - 1) and len(cert.primes) == primes
-    assert min(true) >= 1
+    assert cert == expected and cert.rank == comb(2 * n - 2, n - 1)
+    assert shortened and min(true) >= 1
     if short == "first":
         assert sum(true) == cert.rank
-        assert len(calls[0]) == len(calls[1]) == cert.blocks.eliminated
+        assert set(shortened) <= set(calls[1])
 
 
 def _det(rows):
@@ -1174,7 +1176,7 @@ def test_hadamard_bounds_hold_every_minor_and_take_the_smaller_side():
 
 
 def test_certified_rank_exact_skips_a_repeated_prime(monkeypatch):
-    expected = permmatrix.certified_rank(6, method="exact", seed=0)
+    expected = permmatrix.certified_rank(7, method="exact", seed=0)
     draw, drawn = permmatrix.random_prime, []
 
     def repeating(rng, modulus=1):  # every second draw repeats the one before, without touching rng
@@ -1182,15 +1184,46 @@ def test_certified_rank_exact_skips_a_repeated_prime(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(permmatrix, "random_prime", repeating)
-    cert = permmatrix.certified_rank(6, method="exact", seed=0)
+    cert = permmatrix.certified_rank(7, method="exact", seed=0)
     assert len(expected.primes) == 4 and len(drawn) == 7 and len(set(drawn)) == 4
     assert cert == expected and cert.primes == tuple(sorted(set(drawn)))
 
 
-def test_certified_rank_exact_refused_above_cap():
-    # the largest degree-8 block, 336 * phi(8) * phi(15) = 10752, is over the cap
-    with pytest.raises(ValueError, match="exact-elimination cap"):
-        permmatrix.certified_rank(8, method="exact")
+def test_certified_rank_exact_at_degree_eight():
+    # the one degree-8 proof in the suite, about 5 s: each of 13 primes eliminates up to 16
+    # blocks of order 336
+    cert = permmatrix.certified_rank(8, method="exact", seed=0)
+    assert (cert.rank, cert.method, cert.degree) == (3432, "exact-fraction-free", 8)
+    assert cert.blocks == permmatrix.BlockStructure(((8,), (5, 3)), 120, 120, 336, 16)
+    assert len(cert.primes) == 13 and all(p % 120 == 1 for p in cert.primes)
+    assert cert.note.endswith("over 13 primes p = 1 (mod 120), proved once P^2 exceeds the Hadamard bound "
+                              "on the squared (r+1)-minors of the orbit-sum matrix, P the product of the "
+                              "primes that ranked it; P has 393 bits, the largest orbit-sum bound 739 bits")
+
+
+def _group_matrix(symbols):
+    """sum_(d, e) kron(G[d, e], P1^d (x) P2^e), P1 and P2 the cyclic shifts of orders m1 and m2."""
+    m1, m2 = symbols.shape[:2]
+    shift1, shift2 = (np.roll(np.eye(m, dtype=np.int64), 1, axis=0) for m in (m1, m2))
+    return sum(np.kron(symbols[d, e].astype(np.int64),
+                       np.kron(np.linalg.matrix_power(shift1, d), np.linalg.matrix_power(shift2, e)))
+               for d in range(m1) for e in range(m2))
+
+
+def test_proved_rank_matches_the_exact_rank_of_random_group_matrices():
+    # the norm argument on group matrices of every shape up to 4 x 5 with blocks up to 4 x 4; their
+    # orbit-sum bounds are below one prime's square, so about half the ranks are proved short of full
+    rng = np.random.default_rng(26)
+    short = 0
+    for trial in range(300):
+        m1, m2, order = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        symbols = (rng.random((m1, m2, order, order)) < rng.random()).astype(np.uint8)
+        matrix = _group_matrix(symbols)
+        rank, primes, _ = permmatrix._proved_rank(symbols, permmatrix._distinct_primes(trial, lcm(m1, m2)))
+        assert rank == permmatrix.rank_exact(matrix), (m1, m2, order, trial)
+        assert all((p - 1) % lcm(m1, m2) == 0 for p in primes)
+        short += rank < len(matrix)
+    assert 30 < short < 270  # both full and deficient ranks
 
 
 def test_packbits_round_trip():
