@@ -29,7 +29,8 @@ character theory the ranks confirm.  rank_exact never splits, so it checks
 the split.  A residue rank is a lower bound on the rational rank, which is
 all the modular certificate claims.  The exact one also proves the upper
 bound, class by class, from one Hadamard bound on an integer matrix (Norms,
-below).
+below).  rank_exact's fallback is the same argument with c = 1, on its own
+integer matrix directly over Z.
 
 Invariance.  For permutations ``a`` of order m1 and ``b`` of order m2,
 pi -> b^e . pi . a^d and sigma -> a^-d . sigma . b^-e turn sigma . pi into
@@ -477,7 +478,7 @@ def _hadamard_bounds(block: np.ndarray) -> list[int]:
     It is the product of the j largest squared row norms, or of the j
     largest squared column norms if that is smaller, as exact Python ints.
     """
-    top = int(np.abs(block).max(initial=0))
+    top = max(int(block.max(initial=0)), -int(block.min(initial=0)))  # np.abs wraps at -2**63
     squares = block.astype(np.int64 if top * top * max(block.shape) < 1 << 63 else object) ** 2
     rows, cols = (sorted(squares.sum(axis=axis).tolist(), reverse=True) for axis in (1, 0))
     return [min(r, c) for r, c in zip(accumulate(rows, mul, initial=1), accumulate(cols, mul, initial=1))]
@@ -523,16 +524,18 @@ def _proved_rank(symbols: np.ndarray, primes: Iterator[int]) -> tuple[int, list[
 # --- exact rank over the rationals ---
 
 def rank_exact(m) -> int:
-    """Rank over the rationals: the rank mod one prime, proved by an exact kernel check.
+    """Rank over the rationals: one prime and an exact kernel check, or else primes to a Hadamard bound.
 
     With the matrix transposed if needed to n <= m columns, r = rank mod p
     (p = 2147483629) is a lower bound, and the rank when r = n.  Otherwise
     the reduced echelon form mod p gives n - r independent kernel vectors;
     rationally reconstructed and scaled to integers, they satisfy A K = 0
     over Z only if the rank is at most r.  If reconstruction or that check
-    fails (an unlucky prime, or denominators above sqrt(p/2)),
-    fraction-free Bareiss elimination gives the rank.  Limited to order
-    MAX_EXACT_ORDER.
+    fails (an unlucky prime, or denominators above sqrt(p/2)), random primes
+    from seed 0 are drawn afresh, and r, the largest rank mod any of them,
+    is the rank once r = n or once P**2, P their product, exceeds the
+    Hadamard bound on the squared (r+1)-minors: P divides each of them
+    (module docstring, Norms, with c = 1).  Limited to order MAX_EXACT_ORDER.
     """
     shape = (m.order, m.order) if isinstance(m, BinaryMatrix) else np.shape(m)
     if max(shape, default=0) > MAX_EXACT_ORDER:
@@ -548,7 +551,11 @@ def rank_exact(m) -> int:
     # of full column rank mod p, a has no kernel to check: its rank is at most its column count
     if len(pivots) == a.shape[1] or _kernel_vanishes(a, echelon, pivots):
         return len(pivots)
-    return _bareiss_rank(a.astype(object))
+    bounds, rank, product = _hadamard_bounds(a), 0, 1
+    for p in _distinct_primes(0, 1):  # _CHECK_PRIME may come up again, so its rank is not counted
+        rank, product = max(rank, rank_mod_prime(a, p)), product * p
+        if rank == a.shape[1] or product * product > bounds[rank + 1]:
+            return rank
 
 
 def _kernel_vanishes(a: np.ndarray, echelon: np.ndarray, pivots: list[int]) -> bool:
@@ -585,32 +592,6 @@ def _vanishes(a: np.ndarray, kernel: np.ndarray) -> bool:
     top_a, top_k = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a, kernel))
     dtype = np.float64 if top_a * a.shape[1] * top_k < 1 << 53 else object
     return not (a.astype(dtype, copy=False) @ kernel.astype(dtype)).any()
-
-
-def _bareiss_rank(a: np.ndarray) -> int:
-    """Rank of an object array of Python ints; every entry is an exact minor, so divisions are exact."""
-    m, ncols = a.shape
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = a[r, c]
-        if r + 1 < m:
-            below = a[r + 1:, c]
-            if c + 1 < ncols:
-                block = a[r + 1:, c + 1:]
-                a[r + 1:, c + 1:] = (block * piv - np.outer(below, a[r, c + 1:])) // prev
-            a[r + 1:, c] = 0
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 # --- certification ---

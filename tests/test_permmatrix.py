@@ -368,7 +368,7 @@ def _low_rank(rng, rows, cols, rank):
 
     rank_exact takes its kernel from the narrow side, whose factor has
     entries in -2..2, so the kernel's denominators stay far below sqrt(p/2)
-    and the kernel check, not the Bareiss fallback, gives the rank.
+    and the kernel check, not the prime-loop fallback, gives the rank.
     """
     big = rng.integers(-10**5, 10**5 + 1, size=(max(rows, cols), rank))
     small = rng.integers(-2, 3, size=(rank, min(rows, cols)))
@@ -376,16 +376,15 @@ def _low_rank(rng, rows, cols, rank):
     return tall if rows >= cols else tall.T
 
 
-def test_rank_exact_matches_bareiss_and_fractions_on_random_matrices(monkeypatch):
-    bareiss = permmatrix._bareiss_rank
-    fallbacks = _spy(monkeypatch, "_bareiss_rank")
+def test_rank_exact_matches_fractions_on_random_matrices(monkeypatch):
+    fallbacks = _spy(monkeypatch, "rank_mod_prime")
     rng = np.random.default_rng(6)
     for rows, cols in [(9, 9), (12, 6), (6, 12), (14, 14), (1, 7), (7, 1)]:
         for rank in range(min(rows, cols, 5) + 1):
             arr = _low_rank(rng, rows, cols, rank)
             assert np.abs(arr).max(initial=0) <= 10**6
             expected = fraction_rank(arr.tolist())
-            assert bareiss(arr.astype(object)) == expected
+            assert expected <= rank
             assert permmatrix.rank_exact(arr) == expected
     assert fallbacks == []  # every rank was proved mod _CHECK_PRIME, none by the fallback
 
@@ -404,7 +403,7 @@ def _spy(monkeypatch, name):
 
 
 def test_rank_exact_exit_kernel_check_passes(monkeypatch):
-    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "rank_mod_prime")
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 2, 5]]
     assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 2
     assert checks == [True] and fallbacks == []
@@ -412,7 +411,7 @@ def test_rank_exact_exit_kernel_check_passes(monkeypatch):
 
 def test_rank_exact_exit_full_column_rank(monkeypatch):
     # rank mod p equal to the column count is the rank: there is no kernel to check
-    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "rank_mod_prime")
     rows = [[1, 2], [3, 4], [5, 6]]
     assert permmatrix.rank_exact(rows) == permmatrix.rank_exact(np.array(rows).T) == fraction_rank(rows) == 2
     assert permmatrix.rank_exact(np.array(rows)) == 2
@@ -428,15 +427,15 @@ def test_rank_exact_exit_full_column_rank(monkeypatch):
     ],
 )
 def test_rank_exact_exit_unlucky_prime(monkeypatch, rows, expected):
-    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
     assert permmatrix.rank_mod_prime(rows, FIXED_PRIME) < expected
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "rank_mod_prime")
     assert permmatrix.rank_exact(rows) == fraction_rank(rows) == expected
     assert checks == [False] and fallbacks == [expected]
 
 
 def test_rank_exact_exit_reconstruction_fails(monkeypatch):
     # the kernel vector (-1/40000, 1) has a denominator above sqrt(p/2) = 32767
-    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "rank_mod_prime")
     rows = [[40000, 1], [80000, 2], [-40000, -1]]
     assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 1
     assert checks == [] and fallbacks == [1]
@@ -475,9 +474,98 @@ def test_rank_exact_with_entries_near_2_to_40(monkeypatch):
     c = (1 << 40) // d1
     rows = [[c * d1, 0, -c * a], [0, c * d2, -c * b], [c * d1, c * d2, -c * (a + b)]]
     assert (d1 * d2) * 3 * max(abs(x) for row in rows for x in row) >= 1 << 62
-    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "_bareiss_rank")
+    checks, fallbacks = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "rank_mod_prime")
     assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 2
     assert checks == [True] and fallbacks == []
+
+
+def _near_2_to_62(rng):
+    """A 4 x 3 matrix of rank 2 with entries near 2**62: rows u, v, u + v and u - v."""
+    u, v = (rng.integers(1 << 61, 3 << 60, size=3) for _ in range(2))
+    return np.array([u, v, u + v, u - v])
+
+
+def _fallback_cases():
+    """(matrix, rank): cycle matrices, seeded low-rank matrices both ways round, entries near 2**62, zero."""
+    rng = np.random.default_rng(27)
+    cases = [(permmatrix.cycle_product_matrix(k), comb(2 * k - 2, k - 1)) for k in range(1, 6)]
+    for rows, cols in [(9, 6), (6, 9), (12, 12)]:
+        for rank in range(4):
+            arr = _low_rank(rng, rows, cols, rank)
+            cases.append((arr, fraction_rank(arr.tolist())))
+    big = _near_2_to_62(rng)
+    assert big.max() >= 1 << 62
+    cases += [(big, fraction_rank(big.tolist())), (big.T, fraction_rank(big.T.tolist()))]
+    return cases + [(np.zeros((5, 4), dtype=np.int64), 0), (np.zeros((4, 5), dtype=np.int64), 0)]
+
+
+@pytest.mark.parametrize("name, stub", [
+    ("_vanishes", lambda a, kernel: False),
+    ("_rational_reconstruction", lambda u, p: None),
+], ids=["kernel-check-fails", "reconstruction-fails"])
+def test_rank_exact_forced_fallback_gives_the_rank(monkeypatch, name, stub):
+    monkeypatch.setattr(permmatrix, name, stub)
+    residues = _spy(monkeypatch, "rank_mod_prime")
+    deficient = 0
+    for matrix, expected in _fallback_cases():
+        before, full = len(residues), min(matrix.shape) if isinstance(matrix, np.ndarray) else matrix.order
+        assert permmatrix.rank_exact(matrix) == expected
+        # the fallback runs exactly when the rank mod _CHECK_PRIME leaves a kernel, and its largest
+        # residue rank is the rank
+        assert (len(residues) > before) == (expected < full)
+        if expected < full:
+            deficient += 1
+            assert max(residues[before:]) == expected
+    assert deficient == 18  # degrees 4 and 5, 12 low-rank, 2 near 2**62, 2 zero
+
+
+def test_rank_exact_fallback_stops_at_the_first_prime_past_the_bound(monkeypatch):
+    drawn, rank_mod_prime = [], permmatrix.rank_mod_prime
+
+    def spy(m, p):
+        drawn.append(p)
+        return rank_mod_prime(m, p)
+
+    monkeypatch.setattr(permmatrix, "rank_mod_prime", spy)
+    monkeypatch.setattr(permmatrix, "_vanishes", lambda a, kernel: False)
+    # of rank 1 mod _CHECK_PRIME, which divides the determinant; the first fallback prime gives full rank
+    assert permmatrix.rank_exact([[1, 1], [1, 1 + FIXED_PRIME]]) == 2
+    assert len(drawn) == 1
+    drawn.clear()
+    mat = permmatrix.cycle_product_matrix(5)
+    assert permmatrix.rank_exact(mat) == 70
+    # rows of 24 ones: the bound on the squared 71-minors is 24**71, about 2**326, so 6 primes
+    assert permmatrix._hadamard_bounds(mat.to_dense().astype(np.int64))[71] == 24**71
+    assert prod(drawn[:-1]) ** 2 <= 24**71 < prod(drawn) ** 2
+    assert len(set(drawn)) == len(drawn) == 6
+    assert drawn == list(itertools.islice(permmatrix._distinct_primes(0, 1), 6))
+
+
+def test_rank_exact_fallback_keeps_the_largest_residue_rank(monkeypatch):
+    # an unlucky prime only lowers a residue rank; let the last of the 6 primes degree 5 draws go
+    # one short, so that rank 69 would pass its own, smaller bound
+    calls, rank_mod_prime = [], permmatrix.rank_mod_prime
+
+    def unlucky_last(m, p):
+        calls.append(p)
+        return rank_mod_prime(m, p) - (len(calls) == 6)
+
+    monkeypatch.setattr(permmatrix, "rank_mod_prime", unlucky_last)
+    monkeypatch.setattr(permmatrix, "_vanishes", lambda a, kernel: False)
+    assert prod(itertools.islice(permmatrix._distinct_primes(0, 1), 6)) ** 2 > 24**70
+    assert permmatrix.rank_exact(permmatrix.cycle_product_matrix(5)) == 70
+    assert len(calls) == 6
+
+
+def test_rank_exact_fallback_at_int64_min(monkeypatch):
+    # rank 1 at the first prime drawn; the rank-2 bound needs the square of -2**63, which wraps in int64
+    p1 = next(permmatrix._distinct_primes(0, 1))
+    rows = [[-(1 << 63), 0], [0, p1]]
+    monkeypatch.setattr(permmatrix, "_CHECK_PRIME", p1)  # an unlucky check prime: it divides the determinant
+    checks, residues = _spy(monkeypatch, "_vanishes"), _spy(monkeypatch, "rank_mod_prime")
+    assert np.array(rows).dtype == np.int64
+    assert permmatrix.rank_exact(rows) == fraction_rank(rows) == 2
+    assert checks == [False] and residues[0] == 1 and residues[-1] == 2
 
 
 def test_modular_rank_never_exceeds_exact():
@@ -1037,11 +1125,11 @@ def test_certified_rank_exact_note_names_how_each_block_was_certified():
     assert permmatrix.certified_rank(3).note.endswith("; P has 31 bits, the largest orbit-sum bound 0 bits")
 
 
-def test_certified_rank_exact_runs_no_kernel_check_or_bareiss(monkeypatch):
-    # with every kernel check failing, rank_exact would fall back to Bareiss; the Hadamard
-    # proof calls neither
+def test_certified_rank_exact_runs_no_kernel_check_or_fallback(monkeypatch):
+    # with every kernel check failing, rank_exact would fall back to its prime loop, which ranks
+    # the whole matrix through rank_mod_prime; the certificate's proof calls neither
     monkeypatch.setattr(permmatrix, "_vanishes", lambda a, kernel: False)
-    fallbacks = _spy(monkeypatch, "_bareiss_rank")
+    fallbacks = _spy(monkeypatch, "rank_mod_prime")
     cert = permmatrix.certified_rank(5)
     assert cert.rank == 70
     assert "8 classes (d1, d2), d1 | 5, d2 | 6," in cert.note and "Fourier block of order 4 " in cert.note
@@ -1173,6 +1261,10 @@ def test_hadamard_bounds_hold_every_minor_and_take_the_smaller_side():
     # entries whose squared sums leave int64 are summed as Python ints
     big = 1 << 40
     assert permmatrix._hadamard_bounds(np.array([[big, big], [big, -big]])) == [1, 2 * big**2, 4 * big**4]
+    # np.abs(-2**63) is -2**63 in int64, so a maximum taken through it would miss the largest entry
+    low, p1 = -(1 << 63), 623810459
+    assert permmatrix._hadamard_bounds(np.array([[low, 5], [1, 1]])) == [1, low**2 + 1, 2 * (low**2 + 25)]
+    assert permmatrix._hadamard_bounds(np.array([[low, 0], [0, p1]])) == [1, low**2, low**2 * p1**2]
 
 
 def test_certified_rank_exact_skips_a_repeated_prime(monkeypatch):
@@ -1210,9 +1302,11 @@ def _group_matrix(symbols):
                for d in range(m1) for e in range(m2))
 
 
-def test_proved_rank_matches_the_exact_rank_of_random_group_matrices():
+def test_proved_rank_matches_the_exact_rank_of_random_group_matrices(monkeypatch):
     # the norm argument on group matrices of every shape up to 4 x 5 with blocks up to 4 x 4; their
-    # orbit-sum bounds are below one prime's square, so about half the ranks are proved short of full
+    # orbit-sum bounds are below one prime's square, so about half the ranks are proved short of full.
+    # rank_exact's fallback is the same argument, so the kernel check must give every rank here
+    fallbacks = _spy(monkeypatch, "rank_mod_prime")
     rng = np.random.default_rng(26)
     short = 0
     for trial in range(300):
@@ -1224,6 +1318,7 @@ def test_proved_rank_matches_the_exact_rank_of_random_group_matrices():
         assert all((p - 1) % lcm(m1, m2) == 0 for p in primes)
         short += rank < len(matrix)
     assert 30 < short < 270  # both full and deficient ranks
+    assert fallbacks == []
 
 
 def test_packbits_round_trip():
