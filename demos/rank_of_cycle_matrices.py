@@ -31,9 +31,10 @@ for k in range(1, 7):
     print(f"{k:6d} | {factorial(k):5d} | {cert.rank:4d} | {expected:8d} | {cert.method}")
 print(f"degree 6: {cert.note}")
 
-# Degree 7 is a 5040 x 5040 matrix.  By default its rank is a lower bound
-# agreed by three random primes; each prime ranks the blocks of order 42
-# that the same split gives mod p.  Printed: the primes and the blocks.
+# Degree 7 is a 5040 x 5040 matrix.  By default its rank comes from at most
+# three random primes; each prime ranks the blocks of order 42 that the same
+# split gives mod p.  At seed 0 three primes leave classes unproved, so the
+# rank is a lower bound.  Printed: the primes and the blocks.
 cert7 = certified_rank(7, seed=0)
 print(f"{7:6d} | {5040:5d} | {cert7.rank:4d} | {comb(12, 6):8d} | {cert7.method}")
 print(f"primes used: {cert7.primes}")

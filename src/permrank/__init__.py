@@ -29,7 +29,6 @@ from .group_algebra import (
 )
 from .permmatrix import (
     BinaryMatrix,
-    PrimeDisagreement,
     RankCertificate,
     certified_rank,
     cycle_product_matrix,

@@ -22,15 +22,16 @@ float32 matmul (perms.composition_ranks), exact since every sum is at most
 8! - 1 < 2**24.  The certificates gather only their n!/(m1 m2) columns
 s_j = r_j^-1 (below), from the indicator itself as a one-column slab.
 
-Both certificates rank M mod random ~30-bit primes, and neither eliminates
-M itself: both split it by the argument below, which uses only that
+The certificate ranks M mod random ~30-bit primes without eliminating M
+itself: it splits M by the argument below, which uses only that
 M[pi, sigma] depends on the conjugacy class of sigma . pi, none of the
 character theory the ranks confirm.  rank_exact never splits, so it checks
-the split.  A residue rank is a lower bound on the rational rank, which is
-all the modular certificate claims.  The exact one also proves the upper
-bound, class by class, from one Hadamard bound on an integer matrix (Norms,
-below).  rank_exact's fallback is the same argument with c = 1, on its own
-integer matrix directly over Z.
+the split.  A residue rank is a lower bound on the rational rank, and one
+Hadamard bound on an integer matrix proves the upper bound class by class
+(Norms, below).  The exact method draws primes until every class is
+proved; the modular one stops at its prime cap, and claims only the lower
+bound if a class is left open.  rank_exact's fallback is the same argument
+with c = 1, on its own integer matrix directly over Z.
 
 Invariance.  For permutations ``a`` of order m1 and ``b`` of order m2,
 pi -> b^e . pi . a^d and sigma -> a^-d . sigma . b^-e turn sigma . pi into
@@ -106,7 +107,7 @@ rank_mod_prime and rank_exact pass a stack of one.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import factorial, gcd, isqrt, lcm, prod
@@ -467,11 +468,6 @@ def _class_ranks(symbols: np.ndarray, p: int, classes=None) -> list[int]:
     return [_totient(d1) * _totient(d2) * rank for (d1, d2), rank in zip(pairs, ranks)]
 
 
-def _blocked_rank(symbols: np.ndarray, p: int) -> int:
-    """Rank mod ``p``, p = 1 (mod lcm(m1, m2)), of the group matrix over Z_m1 x Z_m2 with these symbols."""
-    return sum(_class_ranks(symbols, p))
-
-
 def _hadamard_bounds(block: np.ndarray) -> list[int]:
     """bounds[j] >= the square of every j x j minor of the integer ``block``, by Hadamard's inequality.
 
@@ -494,31 +490,34 @@ def _distinct_primes(seed: int, modulus: int) -> Iterator[int]:
             yield p
 
 
-def _proved_rank(symbols: np.ndarray, primes: Iterator[int]) -> tuple[int, list[int], int]:
+def _proved_rank(symbols: np.ndarray, primes: Iterable[int]) -> tuple[int, list[int], int, int]:
     """Rank over Q of the group matrix with these 0/1 symbols, proved class by class (module docstring).
 
-    Draws ``primes`` until every class has closed.  A class keeps r, the
-    largest residue rank of its Fourier block, and closes at full rank, or
-    once P**2, P the product of the primes that ranked it, exceeds the
-    Hadamard bound on the squared (r+1)-minors of the orbit-sum matrix.
-    Later primes eliminate only the open classes.  Returns the rank, the
-    primes drawn and the largest closing bound.
+    Draws ``primes`` until every class has closed or they run out.  A class
+    keeps r, the largest residue rank of its Fourier block, a lower bound,
+    and closes at full rank, or once P**2, P the product of the primes that
+    ranked it, exceeds the Hadamard bound on the squared (r+1)-minors of the
+    orbit-sum matrix.  Later primes eliminate only the open classes.
+    Returns the rank, the primes drawn, the largest bound a class had to
+    exceed and the number of classes left open; with none open the rank is
+    proved, else it is a lower bound.
     """
     m1, m2, order = symbols.shape[:3]
     bounds = _hadamard_bounds(symbols.sum(axis=(0, 1), dtype=np.int64))
     counts = [_totient(d1) * _totient(d2) for d1 in _divisors(m1) for d2 in _divisors(m2)]
     ranks, used, product = [0] * len(counts), [], 1
     open_classes = list(range(len(counts)))
-    while open_classes:
-        p = next(primes)
+    for p in primes:
         used.append(p)
         product *= p
         for i, rank in zip(open_classes, _class_ranks(symbols, p, open_classes)):
             ranks[i] = max(ranks[i], rank // counts[i])
         open_classes = [i for i in open_classes
                         if ranks[i] < order and product * product <= bounds[ranks[i] + 1]]
+        if not open_classes:
+            break
     largest = max((bounds[r + 1] for r in ranks if r < order), default=0)
-    return sum(map(mul, counts, ranks)), used, largest
+    return sum(map(mul, counts, ranks)), used, largest, len(open_classes)
 
 
 # --- exact rank over the rationals ---
@@ -596,14 +595,6 @@ def _vanishes(a: np.ndarray, kernel: np.ndarray) -> bool:
 
 # --- certification ---
 
-class PrimeDisagreement(RuntimeError):
-    """Residue ranks disagreed across primes; no certificate is issued."""
-
-    def __init__(self, ranks_by_prime: dict[int, int]):
-        self.ranks_by_prime = ranks_by_prime
-        super().__init__(f"residue ranks disagree: {ranks_by_prime}")
-
-
 @dataclass(frozen=True)
 class BlockStructure:
     """How each prime split the matrix: ``count`` blocks of order ``order``.
@@ -611,8 +602,8 @@ class BlockStructure:
     The blocks come from the subgroup <a> x <b> of S_n x S_n, of order
     ``subgroup_order``, generated by permutations a and b of the two
     ``cycle_types``.  ``eliminated`` of them, one per class of equal rank,
-    are eliminated at each prime; on the exact path later primes skip the
-    classes already proved.
+    are eliminated at the first prime; later primes skip the classes
+    already proved.
     """
 
     cycle_types: tuple[tuple[int, ...], tuple[int, ...]]
@@ -625,7 +616,9 @@ class BlockStructure:
 @dataclass(frozen=True)
 class RankCertificate:
     rank: int
-    method: str  # 'exact-fraction-free' or 'modular-multiprime'
+    # 'exact-fraction-free' (every class proved; the name, older than the proof, is the string CI and
+    # the benchmark check) or 'modular-multiprime' (a class left open, so a lower bound only)
+    method: str
     primes: tuple[int, ...]
     note: str
     degree: int
@@ -642,16 +635,17 @@ def certified_rank(
     """Rank of the degree-n cycle product matrix with a method record.
 
     Both methods draw distinct random ~30-bit primes p = 1 (mod lcm(m1, m2))
-    from ``seed`` and at each eliminate one modular block per pair of
-    divisors (class).  ``modp`` stops after ``num_primes`` primes and gives
-    a lower bound; primes that disagree raise PrimeDisagreement.  ``exact``
-    ignores ``num_primes`` and draws until the Hadamard bound on the
-    orbit-sum matrix closes every class (module docstring, norms), which
-    proves the rational rank.  ``auto`` is ``exact`` while
-    n! <= MAX_EXACT_ORDER and ``modp`` above.  No n! x n! matrix is made.
-    The note names the cycle types and, for ``exact``, the classes and their
-    block order, the number of primes and the bit sizes of their product
-    and of the largest bound it had to exceed.
+    from ``seed``, and at each eliminate one modular block per open pair of
+    divisors (class); each class keeps its largest residue rank and closes
+    once the Hadamard bound on the orbit-sum matrix is passed (module
+    docstring, norms).  ``exact`` draws until every class has closed, which
+    proves the rational rank; ``modp`` stops after ``num_primes`` primes.
+    The certificate is ``exact-fraction-free`` when every class closed and
+    ``modular-multiprime``, a lower bound, when one is left open.  ``auto``
+    is ``exact`` up to degree 6 and ``modp`` above.  No n! x n! matrix is
+    made.  The note names the cycle types, the classes and their block
+    order, the number of primes, the bit sizes of their product and of the
+    largest bound it had to exceed, and the classes left open.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
@@ -660,51 +654,33 @@ def certified_rank(
     if num_primes < 1:
         raise ValueError(f"num_primes must be at least 1, got {num_primes}")
     if method == "auto":
-        method = "exact" if factorial(n) <= MAX_EXACT_ORDER else "modp"
+        method = "exact" if n <= 6 else "modp"
     cycle_types = _cycle_type_pair(n)
     m1, m2 = (lcm(*lam) for lam in cycle_types)
     block_order = factorial(n) // (m1 * m2)
     symbols = _group_symbols(_cycle_indicator(n), cycle_types)
     types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
     primes = _distinct_primes(seed, lcm(m1, m2))
+    rank, used, largest, left_open = _proved_rank(symbols, primes if method == "exact"
+                                                  else islice(primes, num_primes))
     classes = len(_divisors(m1)) * len(_divisors(m2))
-    blocks = BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, classes)
-    if method == "exact":
-        rank, used, largest = _proved_rank(symbols, primes)
-        return RankCertificate(
-            rank=rank,
-            method="exact-fraction-free",
-            primes=tuple(sorted(used)),
-            note=(
-                f"rank over the rationals, the sum over {classes} classes (d1, d2), d1 | {m1}, "
-                f"d2 | {m2}, of phi(d1) phi(d2) times the rank of one Fourier block of order "
-                f"{block_order} over Q(zeta_lcm(d1, d2)) (cycle types {types_label}); each block's "
-                f"rank is its largest residue rank r over {len(used)} prime{'s' * (len(used) > 1)} "
-                f"p = 1 (mod {lcm(m1, m2)}), proved once P^2 exceeds the Hadamard bound on the "
-                f"squared (r+1)-minors of the orbit-sum matrix, P the product of the primes that "
-                f"ranked it; P has {prod(used).bit_length()} bits, the largest orbit-sum bound "
-                f"{largest.bit_length()} bits"
-            ),
-            degree=n,
-            blocks=blocks,
-        )
-    sampled = {p: _blocked_rank(symbols, p) for p in islice(primes, num_primes)}
-    ranks = set(sampled.values())
-    if len(ranks) != 1:
-        raise PrimeDisagreement(sampled)
+    claim = "a lower bound on the rank" if left_open else "rank"
     return RankCertificate(
-        rank=ranks.pop(),
-        method="modular-multiprime",
-        primes=tuple(sorted(sampled)),
+        rank=rank,
+        method="modular-multiprime" if left_open else "exact-fraction-free",
+        primes=tuple(sorted(used)),
         note=(
-            "residue rank is a lower bound on the rational rank; at each prime "
-            f"it is the sum of the ranks of {m1 * m2} Fourier blocks of order {block_order} "
-            f"(cycle types {types_label}), which equals the full residue rank; the blocks "
-            f"fall into {classes} classes of equal rank under (t1, t2) -> (u*t1, v*t2) "
-            f"(u prime to {m1}, v prime to {m2}), and one block per class was eliminated; "
-            + ("one prime sampled" if num_primes == 1
-               else f"{num_primes} independent primes agree")
+            f"{claim} over the rationals, the sum over {classes} classes (d1, d2), d1 | {m1}, "
+            f"d2 | {m2}, of phi(d1) phi(d2) times the rank of one Fourier block of order "
+            f"{block_order} over Q(zeta_lcm(d1, d2)) (cycle types {types_label}); each block's "
+            f"rank is its largest residue rank r over {len(used)} prime{'s' * (len(used) > 1)} "
+            f"p = 1 (mod {lcm(m1, m2)}), proved once P^2 exceeds the Hadamard bound on the "
+            f"squared (r+1)-minors of the orbit-sum matrix, P the product of the primes that "
+            f"ranked it; P has {prod(used).bit_length()} bits, the largest orbit-sum bound "
+            f"{largest.bit_length()} bits"
+            + (f"; {left_open} of the {classes} classes not proved, so their r is a lower bound"
+               if left_open else "")
         ),
         degree=n,
-        blocks=blocks,
+        blocks=BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, classes),
     )

@@ -1,7 +1,6 @@
 import ast
 import contextlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -64,12 +63,13 @@ def test_rank_json_payload(capsys):
 
 
 def test_rank_modp_seeded_deterministic(capsys):
-    code, out1, _ = run_cli(capsys, "rank", "--k", "3", "--method", "modp", "--seed", "42", "--json")
+    argv = ("rank", "--k", "7", "--method", "modp", "--primes", "2", "--seed", "42", "--json")
+    code, out1, _ = run_cli(capsys, *argv)
     assert code == 0
-    code, out2, _ = run_cli(capsys, "rank", "--k", "3", "--method", "modp", "--seed", "42", "--json")
+    code, out2, _ = run_cli(capsys, *argv)
     assert code == 0
     p1, p2 = json.loads(out1), json.loads(out2)
-    assert p1["rank"] == 6 and len(p1["primes"]) == 3
+    assert (p1["rank"], p1["method"]) == (924, "modular-multiprime") and len(p1["primes"]) == 2
     assert p1["primes"] == p2["primes"]
 
 
@@ -151,17 +151,30 @@ def test_bound_plain(capsys):
     ]
 
 
-def test_rank_refuses_primes_that_disagree(capsys, monkeypatch):
-    primes = permmatrix.certified_rank(7, method="modp", num_primes=2, seed=0).primes
-    ranks = itertools.count(900)  # a different residue rank at every prime
-    monkeypatch.setattr(permmatrix, "_blocked_rank", lambda symbols, p: next(ranks))
-    with pytest.raises(permmatrix.PrimeDisagreement, match="^residue ranks disagree: ") as refused:
-        permmatrix.certified_rank(7, num_primes=2, seed=0)
-    assert tuple(sorted(refused.value.ranks_by_prime)) == primes  # both sampled primes
-    assert sorted(refused.value.ranks_by_prime.values()) == [900, 901]
-    code, out, err = run_cli(capsys, "rank", "--k", "7")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: residue ranks disagree: ")
+def test_rank_modp_takes_the_largest_residue_rank(capsys, monkeypatch):
+    # the first prime ranks the class (1, 1) one short, as an unlucky prime may where p^2 does not
+    # exceed the bound on its minors; the class stays open, the next prime ranks it again, and each
+    # class keeps its largest residue rank, so the certificate is unchanged
+    expected = permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0)
+    first = next(permmatrix._distinct_primes(0, 60))
+    class_ranks, shortened = permmatrix._class_ranks, []
+
+    def one_short(symbols, p, classes):
+        ranks = class_ranks(symbols, p, classes)
+        if p == first:
+            assert classes[0] == 0 and ranks[0] >= 1  # phi(1) phi(1) = 1 block
+            bounds = permmatrix._hadamard_bounds(symbols.sum(axis=(0, 1)))
+            assert p * p <= bounds[ranks[0]]  # the short rank leaves the class open
+            ranks[0] -= 1
+            shortened.append(p)
+        return ranks
+
+    monkeypatch.setattr(permmatrix, "_class_ranks", one_short)
+    cert = permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0)
+    assert cert == expected and cert.rank == 924 and shortened == [first]
+    code, out, err = run_cli(capsys, "rank", "--k", "7", "--json")
+    assert (code, err) == (0, "") and shortened == [first] * 2
+    assert (json.loads(out)["rank"], json.loads(out)["method"]) == (924, "modular-multiprime")
 
 
 def test_bound_csv_and_json(capsys):

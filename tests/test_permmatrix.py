@@ -615,9 +615,9 @@ def test_certified_rank_exact_path():
 
 
 def test_certified_rank_modular_path_is_seeded():
-    cert1 = permmatrix.certified_rank(3, method="modp", seed=42)
-    cert2 = permmatrix.certified_rank(3, method="modp", seed=42)
-    assert cert1.rank == 6
+    cert1 = permmatrix.certified_rank(7, method="modp", seed=0)
+    cert2 = permmatrix.certified_rank(7, method="modp", seed=0)
+    assert cert1.rank == 924
     assert cert1.method == "modular-multiprime"
     assert len(cert1.primes) == 3
     assert cert1.primes == cert2.primes
@@ -631,7 +631,7 @@ def test_unseeded_certificate_equals_seed_0(n, num_primes):
 
 
 def test_certified_rank_skips_a_repeated_prime(monkeypatch):
-    expected = permmatrix.certified_rank(4, method="modp", num_primes=3, seed=0)
+    expected = permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0)
     draw, drawn = permmatrix.random_prime, []
 
     def repeating(rng, modulus=1):  # every second draw repeats the one before, without touching rng
@@ -639,9 +639,10 @@ def test_certified_rank_skips_a_repeated_prime(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(permmatrix, "random_prime", repeating)
-    cert = permmatrix.certified_rank(4, method="modp", num_primes=3, seed=0)
+    cert = permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0)
     assert len(drawn) == 5 and len(set(drawn)) == 3
     assert cert == expected and cert.primes == tuple(sorted(set(drawn)))
+    assert cert.method == "modular-multiprime"  # three primes leave a class open at seed 0
 
 
 def test_certified_rank_degree_eight(monkeypatch):
@@ -668,21 +669,43 @@ def test_certified_rank_rejects_too_few_primes(num_primes):
 
 
 def test_certified_rank_records_block_structure():
-    cert = permmatrix.certified_rank(5, method="modp", num_primes=2, seed=7)
-    assert cert.rank == 70
-    assert cert.blocks == permmatrix.BlockStructure(((5,), (3, 2)), 30, 30, 4, 8)
-    assert "sum of the ranks" in cert.note
-    assert all(p % 30 == 1 for p in cert.primes)
+    cert = permmatrix.certified_rank(7, method="modp", num_primes=2, seed=7)
+    assert (cert.rank, cert.method) == (924, "modular-multiprime")
+    assert cert.blocks == permmatrix.BlockStructure(((5, 2), (4, 3)), 120, 120, 42, 24)
+    assert "the sum over 24 classes (d1, d2), d1 | 10, d2 | 12," in cert.note
+    assert len(cert.primes) == 2 and all(p % 60 == 1 for p in cert.primes)
     assert permmatrix.certified_rank(4).blocks == permmatrix.BlockStructure(((4,), (3, 1)), 12, 12, 2, 6)
 
 
 def test_certified_rank_note_counts_the_primes():
-    one = permmatrix.certified_rank(5, method="modp", num_primes=1, seed=1).note
-    assert one.endswith("one prime sampled")
-    assert "independent primes" not in one
-    three = permmatrix.certified_rank(5, method="modp", num_primes=3, seed=1).note
-    assert three.endswith("3 independent primes agree")
-    assert "one prime" not in three
+    one = permmatrix.certified_rank(8, method="modp", num_primes=1, seed=1).note
+    assert one.startswith("a lower bound on the rank over the rationals, the sum over 16 classes ")
+    assert " largest residue rank r over 1 prime p = 1 (mod 120), " in one
+    assert one.endswith("; 16 of the 16 classes not proved, so their r is a lower bound")
+    three = permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0).note
+    assert " largest residue rank r over 3 primes p = 1 (mod 60), " in three
+    assert three.endswith("; 4 of the 24 classes not proved, so their r is a lower bound")
+    assert "1 prime" not in three
+
+
+@pytest.mark.parametrize("n, seed, modulus, closing", [(5, 0, 30, 1), (7, 1, 60, 3)])
+def test_certified_rank_modp_is_exact_once_its_primes_close_every_class(n, seed, modulus, closing):
+    # modp stops at the prime that closes every class, within its cap of 3, with the exact proof
+    cert = permmatrix.certified_rank(n, method="modp", num_primes=3, seed=seed)
+    assert (cert.rank, cert.method) == (comb(2 * n - 2, n - 1), "exact-fraction-free")
+    drawn = permmatrix._distinct_primes(seed, modulus)
+    assert cert.primes == tuple(sorted(itertools.islice(drawn, closing)))
+    assert cert == permmatrix.certified_rank(n, method="exact", seed=seed)
+    assert not cert.note.startswith("a lower bound") and "not proved" not in cert.note
+
+
+@pytest.mark.parametrize("seed", [*range(10), *range(104729, 104739)])
+def test_certified_rank_modp_with_one_prime_at_degree_seven_is_a_lower_bound(seed):
+    # one prime never passes degree 7's orbit-sum bounds, so the label and note claim a lower bound only
+    cert = permmatrix.certified_rank(7, method="modp", num_primes=1, seed=seed)
+    assert (cert.rank, cert.method, len(cert.primes)) == (924, "modular-multiprime", 1)
+    assert cert.note.startswith("a lower bound on the rank over the rationals, ")
+    assert cert.note.endswith(" of the 24 classes not proved, so their r is a lower bound")
 
 
 def _power(a, d):
@@ -900,7 +923,7 @@ def test_blocked_rank_equals_full_rank_at_same_prime(n):
     rng = random.Random(n)
     for _ in range(2):
         p = permmatrix.random_prime(rng, lcm(m1, m2))
-        assert permmatrix._blocked_rank(symbols, p) == permmatrix.rank_mod_prime(mat, p)
+        assert sum(permmatrix._class_ranks(symbols, p)) == permmatrix.rank_mod_prime(mat, p)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -912,7 +935,7 @@ def test_blocked_rank_on_every_class_indicator(n):
     for lam in young.partitions(n):
         mat = _class_indicator_matrix(n, {lam})
         full = permmatrix.rank_mod_prime(mat, p)
-        assert permmatrix._blocked_rank(_symbols(mat), p) == full
+        assert sum(permmatrix._class_ranks(_symbols(mat), p)) == full
         ranks.add(full)
     assert len(ranks) > 2
 
@@ -947,13 +970,13 @@ def _assert_rank_depends_only_on_gcd(symbols, p):
     m1, m2 = symbols.shape[:2]
     ranks = _fourier_block_ranks(symbols, p)
     assert all(r == ranks[gcd(t1, m1) % m1, gcd(t2, m2) % m2] for (t1, t2), r in ranks.items())
-    assert permmatrix._blocked_rank(symbols, p) == sum(ranks.values())
+    assert sum(permmatrix._class_ranks(symbols, p)) == sum(ranks.values())
     return ranks
 
 
 @pytest.mark.parametrize("n", range(4, 8))
 def test_fourier_block_rank_depends_only_on_gcd(n):
-    # the equivalence of B_(t1, t2) and B_(u t1, v t2) that lets _blocked_rank
+    # the equivalence of B_(t1, t2) and B_(u t1, v t2) that lets _class_ranks
     # eliminate one block per pair of classes, checked on every block
     ranks = _assert_rank_depends_only_on_gcd(_symbols(permmatrix.cycle_product_matrix(n)),
                                              _sampled_prime(n))
@@ -1054,7 +1077,7 @@ def test_certified_rank_exact_builds_only_the_blocks_it_eliminates(monkeypatch, 
 def test_certified_rank_modp_eliminates_each_degree_seven_prime_in_one_kernel_call(monkeypatch):
     stacks = _spy(monkeypatch, "_echelon_mod_p")
     assert permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0).rank == 924
-    assert [len(pivots) for pivots in stacks] == [24] * 3
+    assert [len(pivots) for pivots in stacks] == [24, 24, 12]  # the third prime skips the 12 classes closed
 
 
 def test_class_ranks_eliminate_each_degree_eight_block_alone(monkeypatch):
@@ -1313,8 +1336,9 @@ def test_proved_rank_matches_the_exact_rank_of_random_group_matrices(monkeypatch
         m1, m2, order = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
         symbols = (rng.random((m1, m2, order, order)) < rng.random()).astype(np.uint8)
         matrix = _group_matrix(symbols)
-        rank, primes, _ = permmatrix._proved_rank(symbols, permmatrix._distinct_primes(trial, lcm(m1, m2)))
-        assert rank == permmatrix.rank_exact(matrix), (m1, m2, order, trial)
+        primes = permmatrix._distinct_primes(trial, lcm(m1, m2))
+        rank, primes, _, left_open = permmatrix._proved_rank(symbols, primes)
+        assert rank == permmatrix.rank_exact(matrix) and left_open == 0, (m1, m2, order, trial)
         assert all((p - 1) % lcm(m1, m2) == 0 for p in primes)
         short += rank < len(matrix)
     assert 30 < short < 270  # both full and deficient ranks
