@@ -21,16 +21,15 @@ MAX_SAMPLED_LENGTH = 64
 
 #: Largest values of the flags whose work grows without bound, each under
 #: about 20 s on a 2-core x86-64 host, as verify.MAX_DEGREE: bound --max 650
-#: took 1.4 s, asym --n 5000 --digits 200000 6.8 s (mostly mpmath), rank
-#: --k 8 --primes 30 3.8-4.6 s (it stops at 13 primes, once every class is
-#: proved), and char --lambda 14,10,8,6,5,4,3,2,2,2,1,1,1,1 at the identity
-#: class 18.9 s, each as a command.  Of the shapes of weight 60 that one has
-#: the most subshapes (224k), and the recursion visits each.
-#: Library functions take any value.
+#: took 1.4 s, asym --n 5000 --digits 200000 6.8 s (mostly mpmath), and char
+#: --lambda 14,10,8,6,5,4,3,2,2,2,1,1,1,1 at the identity class 18.9 s, each
+#: as a command; of the shapes of weight 60 it has the most subshapes (224k),
+#: and the recursion visits each.  rank --primes needs no cap: the loop stops
+#: once every class is proved, as rank --method exact does (13 primes and
+#: 4.8-5.3 s at --k 8).  Library functions take any value.
 MAX_BOUND_ROWS = 650
 MAX_ASYM_N = 5000
 MAX_ASYM_DIGITS = 200_000
-MAX_PRIMES = 30
 MAX_CHAR_WEIGHT = 60
 
 
@@ -98,12 +97,11 @@ def _cmd_rank(args) -> int:
             f"({cert.method}, {elapsed_ms} ms)"
         )
         print(f"primes: {', '.join(map(str, cert.primes))}")
-        b = cert.blocks
+        b, primes = cert.blocks, len(cert.primes)
         print(
-            f"blocks: {b.count} of order {b.order} per prime, {b.eliminated} of them eliminated, "
-            f"from the subgroup <a> x <b> "
-            f"of order {b.subgroup_order} (cycle types "
-            f"{' and '.join(map(_partition_label, b.cycle_types))})"
+            f"blocks: {b.count} of order {b.order} per prime, {b.eliminated} eliminated over {primes} "
+            f"prime{'s' * (primes > 1)}, from the subgroup <a> x <b> of order {b.subgroup_order} "
+            f"(cycle types {' and '.join(map(_partition_label, b.cycle_types))})"
         )
         print(f"note: {cert.note}")
     return 0 if cert.rank == expected else 1
@@ -213,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank of the degree-k cycle product matrix")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "exact", "modp"), default="auto")
+    p.add_argument("--method", choices=("exact", "modp"), default="modp")
     p.add_argument(
-        "--primes", type=_int_at_least(1, MAX_PRIMES), default=3,
+        "--primes", type=_int_at_least(1), default=3,
         help="most primes the modular method draws; it stops early once every class is proved. "
         "The exact method ignores it",
     )

@@ -490,7 +490,7 @@ def _distinct_primes(seed: int, modulus: int) -> Iterator[int]:
             yield p
 
 
-def _proved_rank(symbols: np.ndarray, primes: Iterable[int]) -> tuple[int, list[int], int, int]:
+def _proved_rank(symbols: np.ndarray, primes: Iterable[int]) -> tuple[int, list[int], int, int, int]:
     """Rank over Q of the group matrix with these 0/1 symbols, proved class by class (module docstring).
 
     Draws ``primes`` until every class has closed or they run out.  A class
@@ -499,17 +499,19 @@ def _proved_rank(symbols: np.ndarray, primes: Iterable[int]) -> tuple[int, list[
     ranked it, exceeds the Hadamard bound on the squared (r+1)-minors of the
     orbit-sum matrix.  Later primes eliminate only the open classes.
     Returns the rank, the primes drawn, the largest bound a class had to
-    exceed and the number of classes left open; with none open the rank is
-    proved, else it is a lower bound.
+    exceed, the number of classes left open and the number of blocks
+    eliminated over all primes; with none open the rank is proved, else it
+    is a lower bound.
     """
     m1, m2, order = symbols.shape[:3]
     bounds = _hadamard_bounds(symbols.sum(axis=(0, 1), dtype=np.int64))
     counts = [_totient(d1) * _totient(d2) for d1 in _divisors(m1) for d2 in _divisors(m2)]
-    ranks, used, product = [0] * len(counts), [], 1
+    ranks, used, product, eliminated = [0] * len(counts), [], 1, 0
     open_classes = list(range(len(counts)))
     for p in primes:
         used.append(p)
         product *= p
+        eliminated += len(open_classes)
         for i, rank in zip(open_classes, _class_ranks(symbols, p, open_classes)):
             ranks[i] = max(ranks[i], rank // counts[i])
         open_classes = [i for i in open_classes
@@ -517,7 +519,7 @@ def _proved_rank(symbols: np.ndarray, primes: Iterable[int]) -> tuple[int, list[
         if not open_classes:
             break
     largest = max((bounds[r + 1] for r in ranks if r < order), default=0)
-    return sum(map(mul, counts, ranks)), used, largest, len(open_classes)
+    return sum(map(mul, counts, ranks)), used, largest, len(open_classes), eliminated
 
 
 # --- exact rank over the rationals ---
@@ -601,9 +603,9 @@ class BlockStructure:
 
     The blocks come from the subgroup <a> x <b> of S_n x S_n, of order
     ``subgroup_order``, generated by permutations a and b of the two
-    ``cycle_types``.  ``eliminated`` of them, one per class of equal rank,
-    are eliminated at the first prime; later primes skip the classes
-    already proved.
+    ``cycle_types``.  Each prime eliminates one block per class of equal
+    rank and skips the classes already proved; ``eliminated`` is the total
+    over all primes.
     """
 
     cycle_types: tuple[tuple[int, ...], tuple[int, ...]]
@@ -628,7 +630,7 @@ class RankCertificate:
 def certified_rank(
     n: int,
     *,
-    method: str = "auto",
+    method: str = "modp",
     num_primes: int = 3,
     seed: int = 0,
 ) -> RankCertificate:
@@ -639,30 +641,27 @@ def certified_rank(
     divisors (class); each class keeps its largest residue rank and closes
     once the Hadamard bound on the orbit-sum matrix is passed (module
     docstring, norms).  ``exact`` draws until every class has closed, which
-    proves the rational rank; ``modp`` stops after ``num_primes`` primes.
-    The certificate is ``exact-fraction-free`` when every class closed and
-    ``modular-multiprime``, a lower bound, when one is left open.  ``auto``
-    is ``exact`` up to degree 6 and ``modp`` above.  No n! x n! matrix is
-    made.  The note names the cycle types, the classes and their block
-    order, the number of primes, the bit sizes of their product and of the
-    largest bound it had to exceed, and the classes left open.
+    proves the rational rank; ``modp``, the default, stops after
+    ``num_primes`` primes.  The certificate is ``exact-fraction-free`` when
+    every class closed and ``modular-multiprime``, a lower bound, when one
+    is left open.  No n! x n! matrix is made.  The note names the cycle
+    types, the classes and their block order, the number of primes, the bit
+    sizes of their product and of the largest bound it had to exceed, and
+    the classes left open.
     """
     if not 1 <= n <= perms.MAX_ENUM_DEGREE:
         raise ValueError(f"degree must be in 1..{perms.MAX_ENUM_DEGREE}, got {n}")
-    if method not in ("auto", "exact", "modp"):
+    if method not in ("exact", "modp"):
         raise ValueError(f"unknown method {method!r}")
     if num_primes < 1:
         raise ValueError(f"num_primes must be at least 1, got {num_primes}")
-    if method == "auto":
-        method = "exact" if n <= 6 else "modp"
     cycle_types = _cycle_type_pair(n)
     m1, m2 = (lcm(*lam) for lam in cycle_types)
     block_order = factorial(n) // (m1 * m2)
     symbols = _group_symbols(_cycle_indicator(n), cycle_types)
     types_label = " and ".join("+".join(map(str, lam)) for lam in cycle_types)
-    primes = _distinct_primes(seed, lcm(m1, m2))
-    rank, used, largest, left_open = _proved_rank(symbols, primes if method == "exact"
-                                                  else islice(primes, num_primes))
+    primes = islice(_distinct_primes(seed, lcm(m1, m2)), None if method == "exact" else num_primes)
+    rank, used, largest, left_open, eliminated = _proved_rank(symbols, primes)
     classes = len(_divisors(m1)) * len(_divisors(m2))
     claim = "a lower bound on the rank" if left_open else "rank"
     return RankCertificate(
@@ -682,5 +681,5 @@ def certified_rank(
                if left_open else "")
         ),
         degree=n,
-        blocks=BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, classes),
+        blocks=BlockStructure(cycle_types, m1 * m2, m1 * m2, block_order, eliminated),
     )

@@ -268,11 +268,17 @@ def test_rank_json_reports_blocks(capsys):
     code, out, _ = run_cli(capsys, "rank", "--k", "4", "--method", "modp", "--primes", "1")
     assert code == 0
     assert (
-        "blocks: 12 of order 2 per prime, 6 of them eliminated, from the subgroup <a> x <b> of order 12 "
+        "blocks: 12 of order 2 per prime, 6 eliminated over 1 prime, from the subgroup <a> x <b> of order 12 "
         "(cycle types 4 and 3+1)"
     ) in out.splitlines()
+    code, out, _ = run_cli(capsys, "rank", "--k", "7")
+    assert code == 0
+    assert (
+        "blocks: 120 of order 42 per prime, 60 eliminated over 3 primes, from the subgroup <a> x <b> "
+        "of order 120 (cycle types 5+2 and 4+3)"
+    ) in out.splitlines()
     code, out, _ = run_cli(capsys, "rank", "--k", "4", "--json")
-    assert json.loads(out)["blocks"] == blocks  # the exact path splits the same way
+    assert json.loads(out)["blocks"] == blocks  # the default cap of 3 stops at the same first prime
 
 
 @pytest.mark.parametrize(
@@ -307,7 +313,6 @@ def test_bad_numeric_flags_exit_2_with_one_line(capsys, argv):
     (["bound", "--max", str(cli.MAX_BOUND_ROWS + 1)], "--max", cli.MAX_BOUND_ROWS),
     (["asym", "--n", str(cli.MAX_ASYM_N + 1)], "--n", cli.MAX_ASYM_N),
     (["asym", "--n", "10", "--digits", str(cli.MAX_ASYM_DIGITS + 1)], "--digits", cli.MAX_ASYM_DIGITS),
-    (["rank", "--k", "8", "--primes", str(cli.MAX_PRIMES + 1)], "--primes", cli.MAX_PRIMES),
 ])
 def test_flags_above_their_limit_exit_2_with_one_line_before_any_work(capsys, argv, flag, limit):
     t0 = time.perf_counter()
@@ -318,6 +323,24 @@ def test_flags_above_their_limit_exit_2_with_one_line_before_any_work(capsys, ar
     assert exc.value.code == 2 and out.out == ""
     assert out.err.endswith(f": error: argument {flag}: must be at most {limit}, got {limit + 1}\n")
     assert len(out.err.splitlines()) == 1
+
+
+def test_rank_refuses_the_auto_method_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rank", "--k", "7", "--method", "auto"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --method: invalid choice: 'auto'" in out.err
+    assert len(out.err.splitlines()) == 1 and "Traceback" not in out.err
+
+
+def test_rank_primes_has_no_cap_as_the_loop_stops_once_every_class_is_proved(capsys):
+    # at seed 0 the fourth prime closes the last degree-7 class, as for --method exact
+    code, out, _ = run_cli(capsys, "rank", "--k", "7", "--primes", "1000", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["rank"], payload["method"], len(payload["primes"])) == (924, "exact-fraction-free", 4)
+    assert payload["blocks"]["eliminated"] == 64  # 24 + 24 + 12 + 4 over the four primes
 
 
 def test_2dfa_commrank_prefix_nine_ranks_the_distinct_part(capsys):
@@ -573,8 +596,9 @@ def test_deeply_nested_automaton_json_exits_2_with_one_line(capsys, tmp_path):
     assert err == "error: cannot load automaton: JSON nested too deeply\n"
 
 
-# only --seed and asym --digits (about 2 s of work) take 100000; every other
-# flag, and every degree, must refuse it before any work
+# only --seed, asym --digits (about 2 s of work) and rank --primes (its loop
+# stops once every class is proved, at most 2 primes for the degrees here)
+# take 100000; every other flag, and every degree, must refuse it before any work
 _NUMBERS = ["-1", "0", "1", "2", "5", "100000", "x", ""]
 _PARTITIONS = ["1", "3", "2,1", "4,2", "6", "0", "2,3", "a"]
 _AUTOMATA = [str(DATA / "last_a.json"), str(DATA / "always_accept.json"), str(DATA / "missing.json")]

@@ -671,7 +671,7 @@ def test_certified_rank_rejects_too_few_primes(num_primes):
 def test_certified_rank_records_block_structure():
     cert = permmatrix.certified_rank(7, method="modp", num_primes=2, seed=7)
     assert (cert.rank, cert.method) == (924, "modular-multiprime")
-    assert cert.blocks == permmatrix.BlockStructure(((5, 2), (4, 3)), 120, 120, 42, 24)
+    assert cert.blocks == permmatrix.BlockStructure(((5, 2), (4, 3)), 120, 120, 42, 48)  # 24 per prime
     assert "the sum over 24 classes (d1, d2), d1 | 10, d2 | 12," in cert.note
     assert len(cert.primes) == 2 and all(p % 60 == 1 for p in cert.primes)
     assert permmatrix.certified_rank(4).blocks == permmatrix.BlockStructure(((4,), (3, 1)), 12, 12, 2, 6)
@@ -697,6 +697,24 @@ def test_certified_rank_modp_is_exact_once_its_primes_close_every_class(n, seed,
     assert cert.primes == tuple(sorted(itertools.islice(drawn, closing)))
     assert cert == permmatrix.certified_rank(n, method="exact", seed=seed)
     assert not cert.note.startswith("a lower bound") and "not proved" not in cert.note
+
+
+@pytest.mark.parametrize("n, closing", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2)])
+def test_default_certificate_is_two_sided_up_to_degree_six(n, closing):
+    # the default modp cap of 3 primes proves every class up to degree 6, so no degree there needs
+    # the unbounded exact loop; a degree that came to need more than 3 would fall to a lower bound
+    for seed in range(50):
+        cert = permmatrix.certified_rank(n, seed=seed)
+        assert (cert.rank, cert.method, len(cert.primes)) == (
+            comb(2 * n - 2, n - 1), "exact-fraction-free", closing), seed
+
+
+def test_certified_rank_with_one_prime_at_degree_six_is_a_lower_bound():
+    # one prime leaves classes open at degree 6, and the cap is kept: no second prime is drawn
+    cert = permmatrix.certified_rank(6, num_primes=1)
+    assert (cert.rank, cert.method, len(cert.primes)) == (252, "modular-multiprime", 1)
+    assert cert.blocks.eliminated == 16
+    assert cert.note.endswith(" of the 16 classes not proved, so their r is a lower bound")
 
 
 @pytest.mark.parametrize("seed", [*range(10), *range(104729, 104739)])
@@ -1069,15 +1087,17 @@ def test_certified_rank_exact_builds_only_the_blocks_it_eliminates(monkeypatch, 
     cert = permmatrix.certified_rank(n, method="exact", seed=0)
     assert len(cert.primes) == primes
     assert len(built) == primes  # one array of blocks per prime, and nothing else
-    assert sum(map(len, built)) == sum(map(len, stacks)) == eliminated
+    assert sum(map(len, built)) == sum(map(len, stacks)) == eliminated == cert.blocks.eliminated
     # each stack is eliminated in place, in a slice of its prime's array
     assert all(any(np.shares_memory(a, b) for b in built) for a in stacks)
 
 
 def test_certified_rank_modp_eliminates_each_degree_seven_prime_in_one_kernel_call(monkeypatch):
     stacks = _spy(monkeypatch, "_echelon_mod_p")
-    assert permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0).rank == 924
+    cert = permmatrix.certified_rank(7, method="modp", num_primes=3, seed=0)
+    assert cert.rank == 924
     assert [len(pivots) for pivots in stacks] == [24, 24, 12]  # the third prime skips the 12 classes closed
+    assert cert.blocks.eliminated == 60
 
 
 def test_class_ranks_eliminate_each_degree_eight_block_alone(monkeypatch):
@@ -1126,7 +1146,7 @@ def test_certified_rank_exact_note_names_block_orders():
     cert = permmatrix.certified_rank(6)
     assert cert.rank == 252
     assert cert.method == "exact-fraction-free"
-    assert cert.blocks == permmatrix.BlockStructure(((6,), (3, 2, 1)), 36, 36, 20, 16)
+    assert cert.blocks == permmatrix.BlockStructure(((6,), (3, 2, 1)), 36, 36, 20, 30)  # 16 + 14
     assert cert.note.startswith("rank over the rationals, the sum over 16 classes (d1, d2), d1 | 6, d2 | 6, "
                                 "of phi(d1) phi(d2) times the rank of one Fourier block of order 20 "
                                 "over Q(zeta_lcm(d1, d2))")
@@ -1164,7 +1184,7 @@ def test_certified_rank_exact_at_degree_seven():
     cert = permmatrix.certified_rank(7, method="exact")
     assert cert.rank == 924
     assert cert.method == "exact-fraction-free"
-    assert cert.blocks == permmatrix.BlockStructure(((5, 2), (4, 3)), 120, 120, 42, 24)
+    assert cert.blocks == permmatrix.BlockStructure(((5, 2), (4, 3)), 120, 120, 42, 64)  # 24 + 24 + 12 + 4
     assert "cycle types 5+2 and 4+3" in cert.note
     assert len(cert.primes) == 4 and all(p % 60 == 1 for p in cert.primes)
     assert cert.note.endswith("over 4 primes p = 1 (mod 60), proved once P^2 exceeds the Hadamard bound "
@@ -1309,7 +1329,7 @@ def test_certified_rank_exact_at_degree_eight():
     # blocks of order 336
     cert = permmatrix.certified_rank(8, method="exact", seed=0)
     assert (cert.rank, cert.method, cert.degree) == (3432, "exact-fraction-free", 8)
-    assert cert.blocks == permmatrix.BlockStructure(((8,), (5, 3)), 120, 120, 336, 16)
+    assert cert.blocks == permmatrix.BlockStructure(((8,), (5, 3)), 120, 120, 336, 154)
     assert len(cert.primes) == 13 and all(p % 120 == 1 for p in cert.primes)
     assert cert.note.endswith("over 13 primes p = 1 (mod 120), proved once P^2 exceeds the Hadamard bound "
                               "on the squared (r+1)-minors of the orbit-sum matrix, P the product of the "
@@ -1337,7 +1357,7 @@ def test_proved_rank_matches_the_exact_rank_of_random_group_matrices(monkeypatch
         symbols = (rng.random((m1, m2, order, order)) < rng.random()).astype(np.uint8)
         matrix = _group_matrix(symbols)
         primes = permmatrix._distinct_primes(trial, lcm(m1, m2))
-        rank, primes, _, left_open = permmatrix._proved_rank(symbols, primes)
+        rank, primes, _, left_open, _ = permmatrix._proved_rank(symbols, primes)
         assert rank == permmatrix.rank_exact(matrix) and left_open == 0, (m1, m2, order, trial)
         assert all((p - 1) % lcm(m1, m2) == 0 for p in primes)
         short += rank < len(matrix)

@@ -38,6 +38,7 @@ REFUSALS = [
     (lambda: permmatrix.rank_exact(np.zeros(3, np.int64)), ValueError, "expected a 2-D matrix, got shape (3,)"),
     (lambda: permmatrix.rank_exact(np.zeros((2, 2))), ValueError, "expected integer entries, got dtype float64"),
     (lambda: permmatrix.certified_rank(3, method="fast"), ValueError, "unknown method 'fast'"),
+    (lambda: permmatrix.certified_rank(7, method="auto"), ValueError, "unknown method 'auto'"),
     (lambda: perms.cyclic_perms(0), ValueError, "degree must be positive"),
     (lambda: perms.from_cycles(3, (1, 2), (1, 3)), ValueError, "do not define a permutation"),
     (lambda: _automaton(states=()), ValueError, "automaton needs at least one state"),
