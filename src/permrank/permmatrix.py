@@ -101,7 +101,11 @@ Stacks.  A prime's blocks all have one shape, so _class_ranks builds them
 in one int64 array, reduces it mod p in place and hands _echelon_mod_p
 contiguous slices of it, each within _STACK_BYTES or a single block: the
 kernel pays each column's Python cost once for a whole slice.
-rank_mod_prime and rank_exact pass a stack of one.
+rank_mod_prime and rank_exact pass a stack of one.  The blocks (2**15
+entries at a time), the kernel's scaled pivot rows and its updates (in the
+buffer of the products it subtracted) are reduced as x - (x // p) * p
+(_reduce): numpy's int64 floor division by one scalar is libdivide's
+multiply and shift, about a third of np.remainder's cost.
 """
 
 from __future__ import annotations
@@ -139,6 +143,10 @@ _BUILD_CHUNK_ROWS = 1024  # rows per gather; 4096 raised the degree-8 build's pe
 # raised modp-k7's peak RSS by 0.3 MB (BENCH_25.json), as the kernel's scratch is about twice the
 # stack; stacking degree-8 blocks is slower (they fall out of cache).
 _STACK_BYTES = 1 << 20
+
+# Entries of a prime's blocks reduced mod p at a time through one 256 KiB scratch, freed before the
+# elimination: a scratch of the blocks' size would raise the peak RSS, by 14 MiB at degree 8.
+_REDUCE_CHUNK = 1 << 15
 
 
 def _cycle_indicator(n: int) -> np.ndarray:
@@ -294,7 +302,9 @@ def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> list[list[in
         if np.count_nonzero(found != top):  # the row at found takes the old row at top, which is zero in column c
             rows[found], rows[top] = rows[top], rows[found]
         inverses = np.array([pow(x, -1, p) for x in rows[top, c].tolist()])
-        pivot_rows = rows[top, c:] = rows[top, c:] * inverses[:, None] % p
+        pivot_rows = rows[top, c:]
+        pivot_rows *= inverses[:, None]
+        rows[top, c:] = _reduce(pivot_rows, p, np.empty_like(pivot_rows))
         candidate[top] = False
         factors = rows[:, c] * (np.repeat(pivoting, m) if reduced else candidate)
         factors[top] = 0
@@ -305,11 +315,24 @@ def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> list[list[in
             del pivot_rows  # at most two (live, n - c) arrays at a time
             changed = rows[live, c:]
             changed -= update
-            rows[live, c:] = np.remainder(changed, p, out=changed)
+            rows[live, c:] = _reduce(changed, p, update)
             del update, changed
         tops += pivoting
         is_pivot[:, c] = pivoting
     return [np.flatnonzero(row).tolist() for row in is_pivot]
+
+
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> np.ndarray:
+    """``x`` mod ``p`` in place, through ``scratch`` of x's shape, for int64 ``x`` in (-p**2, p**2).
+
+    x - (x // p) * p: numpy divides int64 by one scalar with libdivide's
+    multiply and shift, about 1 ns an element, where np.remainder's hardware
+    divide takes 3.4 ns.  // floors, so negative x land in [0, p) too.
+    """
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
+    return x
 
 
 def _as_int64(m) -> np.ndarray:
@@ -392,15 +415,15 @@ def _group_symbols(indicator: np.ndarray, cycle_types) -> np.ndarray:
     """
     n = sum(cycle_types[0])
     perm_arr = perms.perm_array(n)
-    # 1-based cycles on consecutive points, e.g. (1 2 3 4)(5 6 7) for 4+3
+    # 1-based cycles on consecutive points, e.g. (1 2 3 4)(5 6 7) for 4+3; int8 keeps b[perm_arr] int8
     a, b = (
         np.array(perms.from_cycles(n, *(tuple(range(e - c + 1, e + 1))
-                                        for e, c in zip(accumulate(lam), lam))))
+                                        for e, c in zip(accumulate(lam), lam))), dtype=np.int8)
         for lam in cycle_types
     )
     m1, m2 = (lcm(*lam) for lam in cycle_types)
-    # rank maps of one step, pi -> pi . a and pi -> b . pi; perms.composition_ranks was
-    # slower for them (5-6 -> 11-12 ms at degree 7, 141-147 -> 197-207 ms at 8)
+    # rank maps of one step, pi -> pi . a and pi -> b . pi: both take 0.3 ms at degree 7 and 2-4 ms
+    # at 8, where perms.composition_ranks takes longer for pi -> pi . a alone
     right_a, left_b = perms.perm_ranks(perm_arr[:, a]), perms.perm_ranks(b[perm_arr])
     reps = _orbit_minima(right_a, m1, left_b, m2)
     rows = np.empty((m1, m2, len(reps)), dtype=np.int64)
@@ -461,7 +484,11 @@ def _class_ranks(symbols: np.ndarray, p: int, classes=None) -> list[int]:
                  for d1, d2 in pairs]
     weights = powers[np.array(exponents, dtype=np.int64).reshape(len(pairs), m1 * m2)]
     blocks = _block_sums(weights, symbols).reshape(-1, order, order)
-    blocks %= p
+    flat, scratch = blocks.reshape(-1), np.empty(_REDUCE_CHUNK, dtype=np.int64)
+    for lo in range(0, len(flat), _REDUCE_CHUNK):
+        part = flat[lo:lo + _REDUCE_CHUNK]
+        _reduce(part, p, scratch[:len(part)])
+    del scratch
     per_stack = max(1, _STACK_BYTES // (8 * order * order))
     ranks = [len(pivots) for lo in range(0, len(blocks), per_stack)
              for pivots in _echelon_mod_p(blocks[lo:lo + per_stack], p)]

@@ -363,6 +363,20 @@ def test_stacked_echelon_looks_past_a_column_without_pivots():
         assert echelon.tolist() == [rows for rows, _ in expected]
 
 
+def test_stacked_echelon_reduces_at_both_ends_of_the_update_range():
+    # with entries 0 and p - 1 the pivot rows scale to 1 and p - 1, so the scaling reaches (p - 1)**2
+    # and x - f * y both -(p - 1)**2 and p - 1; a truncating division would leave negatives below 0
+    p, rng = FIXED_PRIME, np.random.default_rng(0)
+    mixed = (p - 1) * rng.integers(0, 2, size=(20, 9, 9), dtype=np.int64)
+    for stack in (np.full((2, 5, 7), p - 1, dtype=np.int64), mixed, mixed.transpose(0, 2, 1).copy()):
+        for reduced in (False, True):
+            echelon = stack.copy()
+            pivots = permmatrix._echelon_mod_p(echelon, p, reduced)
+            expected = [_python_echelon(member.tolist(), p, reduced) for member in stack]
+            assert pivots == [columns for _, columns in expected]
+            assert echelon.tolist() == [rows for rows, _ in expected]
+
+
 def _low_rank(rng, rows, cols, rank):
     """A random rows x cols matrix of rank at most ``rank``, entries up to about 10**6.
 

@@ -150,6 +150,23 @@ def test_cyclic_mask_matches_is_cyclic(n):
     assert perms.cyclic_mask(shuffled).tolist() == [perms.is_cyclic(tuple(p)) for p in shuffled.tolist()]
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernels_give_the_same_results_in_every_memory_layout(n):
+    # the kernels copy their input position-major, so a view's strides must not change what they read
+    group = perms.perm_array(n)
+    right = group[::max(1, len(group) // 4)]
+    weights = perms.composition_weights(right)
+    for view in (group, group[:, ::-1], group[::2]):
+        rows = [tuple(p) for p in view.tolist()]
+        ranks = [perms.perm_rank(p) for p in rows]
+        cyclic = [perms.is_cyclic(p) for p in rows]
+        products = [[perms.perm_rank(perms.compose(p, tuple(r))) for r in right.tolist()] for p in rows]
+        for arr in (view, np.ascontiguousarray(view), np.asfortranarray(view)):
+            assert perms.perm_ranks(arr).tolist() == ranks
+            assert perms.cyclic_mask(arr).tolist() == cyclic
+            assert perms.composition_ranks(arr, weights).tolist() == products
+
+
 def test_conjugate_examples():
     p = (1, 2, 0)
     assert perms.conjugate(perms.identity(3), p) == p
