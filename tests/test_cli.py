@@ -356,12 +356,17 @@ def test_2dfa_commrank_prefix_nine_ranks_the_distinct_part(capsys):
     }
 
 
-def test_2dfa_commrank_over_the_cap_exits_2_with_one_line(capsys):
-    # the tenth symbol from the end: 1024 distinct rows at prefix length 10
-    code, out, err = run_cli(
-        capsys, "2dfa", "commrank", "-a", str(DATA / "tenth_from_end.json"),
-        "--prefix-len", "10", "--suffix-len", "9",
-    )
+def test_2dfa_commrank_over_the_cap_exits_2_with_one_line(capsys, monkeypatch):
+    # the tenth symbol from the end: 1024 distinct rows at prefix length 10, under the entry cap
+    argv = ("2dfa", "commrank", "-a", str(DATA / "tenth_from_end.json"), "--prefix-len", "10", "--suffix-len", "9")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "prefix_len": 10, "suffix_len": 9, "rows": 2047, "cols": 1023, "rank": 10,
+        "dedup_rows": 1024, "dedup_cols": 10,
+    }
+    monkeypatch.setattr(permmatrix, "MAX_EXACT_ORDER", 100)  # 1024 x 10 is over 100**2 entries
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
@@ -596,6 +597,12 @@ def test_modular_rank_never_exceeds_exact():
 def test_rank_exact_order_cap():
     with pytest.raises(ValueError, match="modular"):
         permmatrix.rank_exact(np.zeros((1001, 1001), dtype=np.int64))
+    # the cap counts entries: a long narrow matrix under 1000**2 of them is ranked
+    tall = np.zeros((1024, 10), dtype=np.int64)
+    tall[np.arange(10), np.arange(10)] = 1
+    assert permmatrix.rank_exact(tall) == permmatrix.rank_exact(tall.T) == 10
+    with pytest.raises(ValueError, match="exact-elimination cap"):
+        permmatrix.rank_exact(np.zeros((100_001, 10), dtype=np.int64))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -780,6 +787,19 @@ def test_max_order_cycle_type(n):
         row_fixers = [x for x in pairs if perms.compose(x[1], perms.compose(g, x[0])) == g]
         col_fixers = [x for x in pairs if perms.compose(x[0], perms.compose(g, x[1])) == g]
         assert len(row_fixers) == len(col_fixers) == 1
+
+
+@pytest.mark.parametrize("modulus", [2**30 + 1, 2**31])
+def test_random_prime_refuses_a_modulus_with_no_prime(modulus):
+    # 2**30 + 1 has the one candidate 2**30 + 2, which is even; 2**31 has none
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"1 mod {modulus}"):
+        permmatrix.random_prime(random.Random(0), modulus)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_random_prime_finds_a_lone_candidate():
+    assert permmatrix.random_prime(random.Random(0), 1073741826) == 1073741827
 
 
 @pytest.mark.parametrize("modulus", [1, 2, 6, 12, 15])

@@ -212,6 +212,41 @@ def test_behavior_composition_matches_direct_simulation():
         )
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bounce_exits_on_the_nth_crossing_and_loops_without_an_exit(n):
+    second = [(q + 1) % n for q in range(n)]  # each crossing comes back one state on
+    exit_last = [*range(n - 1), twoway._EXIT - (n - 1)]  # dive in every state but the last
+    assert twoway._bounce(exit_last, second, 0) == twoway._EXIT - (n - 1)
+    for q in range(n):
+        assert twoway._bounce(list(range(n)), second, q) == HALT_REJECT
+
+
+def _relay(n: int) -> TwoWayDFA:
+    """On "ba" the cell of a takes n crossings: q_i on a goes left, b sends
+    q_{i+1} back, and q_{n-1} leaves right and halts accepting on ">"."""
+    states = tuple(f"q{i}" for i in range(n))
+    delta = {(states[0], "<"): (states[-1], "R")}
+    for i, q in enumerate(states):
+        delta[(q, "b")] = (states[(i + 1) % n], "R")
+        delta[(q, "a")] = (q, "R" if i == n - 1 else "L")
+    return TwoWayDFA(states, ("a", "b"), states[0], frozenset({states[-1]}), delta)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_a_cell_of_n_crossings_steps_and_composes_as_simulated(n):
+    machine = _relay(n)
+    assert prefix_behavior(machine, "ba").reentry[0] == n - 1  # after n crossings at a
+    assert accepts(machine, "ba")
+    words = all_strings("ab", 4)
+    for u in words:
+        for c in "ab":
+            assert extend_behavior(machine, prefix_behavior(machine, u), c) == prefix_behavior(
+                machine, u + c
+            )
+    want = np.array([[accepts(machine, u + v) for v in words] for u in words], dtype=np.uint8)
+    assert np.array_equal(comm_matrix(machine, words, words).entries, want)
+
+
 def test_equal_behaviors_are_indistinguishable():
     rng = random.Random(29)
     suffixes = all_strings("ab", 4)
@@ -460,7 +495,7 @@ def test_schmidt_bound_equals_rank_of_simulated_matrix():
         assert schmidt_lower_bound(machine, samples, samples) == expected
 
 
-def test_schmidt_bound_caps_only_the_distinct_part():
+def test_schmidt_bound_caps_only_the_distinct_part(monkeypatch):
     machine = TwoWayDFA.load(DATA / "tenth_from_end.json")
     for w in all_strings("ab", 12)[::7]:
         assert accepts(machine, w) == (len(w) >= 10 and w[-10] == "a")
@@ -468,10 +503,13 @@ def test_schmidt_bound_caps_only_the_distinct_part():
     cm = distinct_comm_matrix(machine, 10, 9)
     # the last ten symbols, as seen by the ten suffix lengths 0..9
     assert cm.entries.shape == (1024, 10)
-    with pytest.raises(ValueError, match="exact-elimination cap"):
-        schmidt_lower_bound(machine, prefixes, suffixes)
+    assert schmidt_lower_bound(machine, prefixes, suffixes) == 10
     # no prefix up to length 9 has a tenth symbol from the end: one zero column
     assert schmidt_lower_bound(machine, all_strings("ab", 9), suffixes) == 9
+    monkeypatch.setattr(permmatrix, "MAX_EXACT_ORDER", 100)  # 1024 x 10 is over 100**2 entries
+    with pytest.raises(ValueError, match="exact-elimination cap"):
+        schmidt_lower_bound(machine, prefixes, suffixes)
+    assert schmidt_lower_bound(machine, all_strings("ab", 9), suffixes) == 9  # 512 x 10 is not
 
 
 # --- the table explorer ---
